@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog
 from .estimators import ge_closed_form_scalar, mge_gain, mge_mre_rhs
-from .filters import FilterState
+from .filters import FilterState, filter_law
 from .harness import read_trajectory_csv, run_scenario, scenario_from_name
 from .signals import excitation_report, regressor_from_strings
 from .sim import SimSettings, convergence_time, rk4_step, simulate
@@ -186,15 +186,17 @@ def _c4_duality():
 
 
 def _c5_filter():
+    def rate(om, w):  # dOmega/dt of the filter law; G plays no part here
+        return filter_law(om, 0.0, w, 0.0)[0]
+
     # constant regressor against the closed-form first-order response
     w = np.array([1.0, 0.5])
-    ww = np.outer(w, w)
     dt = 1e-3
     y = np.zeros(4)
-    rhs = lambda t, v: ww.ravel() - v
+    rhs = lambda t, v: rate(v.reshape(2, 2), w).ravel()
     for k in range(1000):
         y = rk4_step(rhs, k * dt, y, dt)
-    target = (1.0 - math.exp(-1.0)) * ww
+    target = (1.0 - math.exp(-1.0)) * np.outer(w, w)
     d = float(np.max(np.abs(y.reshape(2, 2) - target)))
     if d >= 1e-8:
         return False, f"constant-regressor filter off by {d:.2e} at t=1 (tol 1e-8)"
@@ -209,10 +211,10 @@ def _c5_filter():
         om = np.zeros((q, q))
         for k in range(n):
             w0, wm, w1 = grid[2 * k], grid[2 * k + 1], grid[2 * k + 2]
-            k1 = np.outer(w0, w0) - om
-            k2 = np.outer(wm, wm) - (om + 0.5 * dt * k1)
-            k3 = np.outer(wm, wm) - (om + 0.5 * dt * k2)
-            k4 = np.outer(w1, w1) - (om + dt * k3)
+            k1 = rate(om, w0)
+            k2 = rate(om + 0.5 * dt * k1, wm)
+            k3 = rate(om + 0.5 * dt * k2, wm)
+            k4 = rate(om + dt * k3, w1)
             om = om + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             if (k + 1) % 1000 == 0:
                 scale = max(1.0, float(np.max(np.abs(om))))

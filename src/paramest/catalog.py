@@ -3,8 +3,9 @@
 Six named problems spanning persistently exciting, decaying, and mixed
 regressors, each with the learning rate and manifold slope used in the
 reference runs. ``builtin`` returns the raw (regressor, theta, tau, mu)
-tuple; ``builtin_scenario`` wraps it in a full scenario configuration with
-the default estimator line-up and integration settings for that case.
+tuple; ``harness.scenario_from_name`` wraps it in a full scenario
+configuration with the default estimator line-up and integration settings for
+that case.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Right-hand sides of the estimator ODEs.
+"""The five estimator update laws, each written once.
 
 All updates share the structure "gain times scalar prediction error". The
 plain gradient estimator uses the gain tau*w on the instantaneous error
@@ -16,6 +16,10 @@ each coordinate error evolves independently. The DREM equations follow the
 standard determinant-mixing construction from the adaptive-estimation
 literature (determinant and adjugate of the extended regressor matrix).
 
+``LAWS`` maps each ``Variant`` to its law ``(theta_hat, a, b, tau, mu)``, with
+(a, b) = (w, g) for GE/MGE and (Omega, G) for MRE/MGE_MRE/DREM; ``simulate``
+integrates these, and the ``*_rhs`` functions apply them to ``EstimatorState``.
+
 Every function here is pure: state in, derivative out.
 """
 from __future__ import annotations
@@ -24,14 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDimensionError
 from .signals import RegressorSpec
-from .types import EstimatorState
-
-
-def ge_rhs(state: EstimatorState, omega: np.ndarray, g: float, tau: float) -> np.ndarray:
-    """Gradient update: d theta_hat/dt = tau * w * (g - w^T theta_hat)."""
-    omega = np.asarray(omega, dtype=float)
-    err = g - omega @ state.theta_hat
-    return tau * omega * err
+from .types import EstimatorState, Variant
 
 
 def mge_gain(omega: np.ndarray, tau: float, mu: float) -> np.ndarray:
@@ -47,47 +44,64 @@ def mge_gain(omega: np.ndarray, tau: float, mu: float) -> np.ndarray:
         raise ConfigurationError("regressor dimension must be at least 1")
     k = tau * omega
     if q >= 2:
-        k = k.copy()
         k[-1] = 2.0 * tau * omega[-1] + tau * float(np.sum(omega[1:-1])) \
             - (q - 1) * mu * tau * omega[0]
     return k
 
 
+def _ge(theta_hat, w, g, tau, mu):
+    return (tau * (g - w @ theta_hat)) * w
+
+
+def _mge(theta_hat, w, g, tau, mu):
+    return mge_gain(w, tau, mu) * (g - w @ theta_hat)
+
+
+def _mre(theta_hat, omega_ext, g_ext, tau, mu):
+    return tau * (g_ext - omega_ext @ theta_hat)
+
+
+def _mge_mre(theta_hat, omega_ext, g_ext, tau, mu):
+    if theta_hat.shape[0] < 2:
+        raise ConfigurationError("modified filtered update needs dimension >= 2")
+    return mge_gain(g_ext - omega_ext @ theta_hat, tau, mu)
+
+
+def _drem(theta_hat, omega_ext, g_ext, tau, mu):
+    delta = det(omega_ext)
+    return tau * delta * (adjugate(omega_ext) @ g_ext - delta * theta_hat)
+
+
+LAWS = {Variant.GE: _ge, Variant.MGE: _mge, Variant.MRE: _mre,
+        Variant.MGE_MRE: _mge_mre, Variant.DREM: _drem}
+
+
+def ge_rhs(state: EstimatorState, omega: np.ndarray, g: float, tau: float) -> np.ndarray:
+    """Gradient update: d theta_hat/dt = tau * w * (g - w^T theta_hat)."""
+    return _ge(state.theta_hat, np.asarray(omega, dtype=float), g, tau, 0.0)
+
+
 def mge_rhs(state: EstimatorState, omega: np.ndarray, g: float,
             tau: float, mu: float) -> np.ndarray:
     """Modified gradient update: mge_gain(w) * (g - w^T theta_hat)."""
-    omega = np.asarray(omega, dtype=float)
-    err = g - omega @ state.theta_hat
-    return mge_gain(omega, tau, mu) * err
+    return _mge(state.theta_hat, np.asarray(omega, dtype=float), g, tau, mu)
 
 
-def _require_filter(state: EstimatorState):
+def _filtered(law, state: EstimatorState, tau: float, mu: float) -> np.ndarray:
     if state.filter is None:
         raise ConfigurationError("estimator variant needs a filter state")
-    return state.filter
+    return law(state.theta_hat, state.filter.omega_ext, state.filter.g_ext, tau, mu)
 
 
 def mre_rhs(state: EstimatorState, tau: float) -> np.ndarray:
     """Filtered-system gradient update: tau * (G - Omega theta_hat)."""
-    filt = _require_filter(state)
-    return tau * (filt.g_ext - filt.omega_ext @ state.theta_hat)
+    return _filtered(_mre, state, tau, 0.0)
 
 
 def mge_mre_rhs(state: EstimatorState, tau: float, mu: float) -> np.ndarray:
-    """Modified last-row gain applied to the filtered residuals.
-
-    With eps = G - Omega theta_hat: rows 1..q-1 get tau*eps_i, the last row
-    gets 2 tau eps_q + tau (eps_2 + ... + eps_{q-1}) - (q-1) mu tau eps_1.
-    """
-    filt = _require_filter(state)
-    q = state.theta_hat.shape[0]
-    if q < 2:
-        raise ConfigurationError("modified filtered update needs dimension >= 2")
-    eps = filt.g_ext - filt.omega_ext @ state.theta_hat
-    d = tau * eps
-    d[-1] = 2.0 * tau * eps[-1] + tau * float(np.sum(eps[1:-1])) \
-        - (q - 1) * mu * tau * eps[0]
-    return d
+    """Modified last-row gain applied to the filtered residuals:
+    mge_gain(eps, tau, mu) with eps = G - Omega theta_hat."""
+    return _filtered(_mge_mre, state, tau, mu)
 
 
 def drem_rhs(state: EstimatorState, tau: float) -> np.ndarray:
@@ -98,23 +112,22 @@ def drem_rhs(state: EstimatorState, tau: float) -> np.ndarray:
     (zero derivative) by construction; that is expected startup behavior,
     not an error.
     """
-    filt = _require_filter(state)
-    delta = det(filt.omega_ext)
-    y = adjugate(filt.omega_ext) @ filt.g_ext
-    return tau * delta * (y - delta * state.theta_hat)
+    return _filtered(_drem, state, tau, 0.0)
 
 
-def manifold_residual(theta_err: np.ndarray, mu: float) -> float:
+def manifold_residual(theta_err: np.ndarray, mu: float):
     """Signed distance-like residual of the combined linear manifold:
-    sum of theta_err_2..theta_err_q minus (q-1)*mu*theta_err_1."""
+    sum of theta_err_2..theta_err_q minus (q-1)*mu*theta_err_1, taken over
+    the last axis (a scalar for one error vector, one value per row of an
+    (n, q) array)."""
     theta_err = np.asarray(theta_err, dtype=float)
-    q = theta_err.shape[0]
+    q = theta_err.shape[-1]
     if q < 2:
         raise ConfigurationError("manifold residual needs dimension >= 2")
-    return float(np.sum(theta_err[1:]) - (q - 1) * mu * theta_err[0])
+    return np.sum(theta_err[..., 1:], axis=-1) - (q - 1) * mu * theta_err[..., 0]
 
 
-def storage(residual: float) -> float:
+def storage(residual):
     """Quadratic storage value of the manifold residual: residual**2 / 2."""
     return 0.5 * residual * residual
 

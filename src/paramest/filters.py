@@ -10,6 +10,9 @@ Omega * theta = G with
 Omega inherits symmetry from its source and, when started at zero, stays
 positive semidefinite because it is a positively weighted integral of rank-1
 outer products. The filter pole is fixed at 1; only this filter is supported.
+
+``filter_law`` is the one array form of this derivative; ``sim.simulate``
+integrates it and ``filter_rhs`` applies it to a ``FilterState``.
 """
 from __future__ import annotations
 
@@ -45,12 +48,15 @@ class FilterState:
         return FilterState(self.omega_ext.copy(), self.g_ext.copy())
 
 
+def filter_law(omega_ext: np.ndarray, g_ext: np.ndarray, w: np.ndarray, g: float):
+    """(dOmega/dt, dG/dt) = (w w^T - Omega, w g - G) for instantaneous (w, g)."""
+    return np.outer(w, w) - omega_ext, w * g - g_ext
+
+
 def filter_rhs(state: FilterState, omega: np.ndarray, g: float) -> FilterState:
     """Time derivative of the filter state for instantaneous (w, g)."""
     omega = np.asarray(omega, dtype=float)
     q = state.g_ext.shape[0]
     if omega.shape != (q,):
         raise ConfigurationError(f"regressor length {omega.shape} != filter dimension {q}")
-    d_omega = -state.omega_ext + np.outer(omega, omega)
-    d_g = -state.g_ext + omega * g
-    return FilterState(d_omega, d_g)
+    return FilterState(*filter_law(state.omega_ext, state.g_ext, omega, g))

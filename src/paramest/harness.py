@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog
 from .errors import ConfigurationError
 from .sim import SimSettings, convergence_time, simulate
-from .signals import excitation_sweep, regressor_from_strings
+from .signals import excitation_sweep, format_float, regressor_from_strings
 from .types import EstimationProblem, EstimatorConfig, Trajectory
 
 CONVERGENCE_TOLERANCES = (0.1, 0.01)
@@ -114,12 +114,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # --------------------------------------------------------------------------
 # CSV export
 # --------------------------------------------------------------------------
-
-def format_float(x: float) -> str:
-    """Shortest representation that round-trips through float()."""
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s
-
 
 def csv_path_for(base: str, label: str) -> str:
     return f"{base}_{label}.csv"
@@ -215,6 +209,22 @@ def _problem_from_json(node) -> EstimationProblem:
     return EstimationProblem(regressor=spec, true_params=theta)
 
 
+def _number(field: str, value, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}") from None
+
+
+def _object(doc: dict, key: str) -> dict:
+    node = doc.get(key)
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"{key} must be an object, got {node!r}")
+    return node
+
+
 def _estimator_from_json(node) -> EstimatorConfig:
     if not isinstance(node, dict) or "variant" not in node:
         raise ConfigurationError("each estimator entry needs at least a variant")
@@ -225,10 +235,10 @@ def _estimator_from_json(node) -> EstimatorConfig:
     theta0 = node.get("theta_hat_0")
     return EstimatorConfig(
         variant=node["variant"],
-        tau=float(node.get("tau", 1.0)),
-        mu=float(node.get("mu", 0.0)),
+        tau=_number("tau", node.get("tau", 1.0)),
+        mu=_number("mu", node.get("mu", 0.0)),
         theta_hat_0=None if theta0 is None else np.asarray(theta0, dtype=float),
-        filter_init=float(node.get("filter_init", 0.0)),
+        filter_init=_number("filter_init", node.get("filter_init", 0.0)),
         label=node.get("label"),
     )
 
@@ -255,7 +265,7 @@ def load_scenario(path: str, dt: float | None = None,
     else:
         estimators = [_estimator_from_json(n) for n in (est_nodes or [])]
 
-    st = doc.get("settings", {})
+    st = _object(doc, "settings")
     default_t_end = None
     if isinstance(doc.get("problem"), str):
         default_t_end = catalog.builtin_t_end(doc["problem"])
@@ -263,12 +273,12 @@ def load_scenario(path: str, dt: float | None = None,
     if resolved_t_end is None:
         raise ConfigurationError(f"{path}: settings.t_end is required for inline problems")
     settings = SimSettings(
-        t_end=float(resolved_t_end),
-        dt=float(dt if dt is not None else st.get("dt", 1e-3)),
-        record_every=int(st.get("record_every", 10)),
+        t_end=_number("settings.t_end", resolved_t_end),
+        dt=_number("settings.dt", dt if dt is not None else st.get("dt", 1e-3)),
+        record_every=_number("settings.record_every", st.get("record_every", 10), int),
     )
 
-    out = doc.get("outputs", {}) or {}
+    out = _object(doc, "outputs")
     outputs = OutputPaths(csv=out.get("csv"), svg=out.get("svg"))
     return ScenarioConfig(name=name, problem=problem, estimators=estimators,
                           settings=settings, outputs=outputs)

@@ -44,7 +44,7 @@ class Const(SignalExpr):
         return self.value * np.ones_like(np.asarray(t, dtype=float))
 
     def __str__(self):
-        return _fmt_num(self.value)
+        return format_float(self.value)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ class BinOp(SignalExpr):
         return f"({self.left} {self.op} {self.right})"
 
 
-def _fmt_num(x: float) -> str:
+def format_float(x: float) -> str:
+    """Shortest representation that round-trips through float()."""
     s = repr(float(x))
     return s[:-2] if s.endswith(".0") else s
 

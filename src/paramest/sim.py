@@ -6,9 +6,12 @@ the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
 constant over a step; ``simulate`` pre-samples them on the half-step grid
 once per run and then advances with the same Butcher tableau as ``rk4_step``.
+It integrates the laws of ``estimators.LAWS`` and ``filters.filter_law``.
 
 Divergence is detected at recording points: any non-finite state entry or a
 state norm above 1e12 aborts the run with the offending time and component.
+Error norms and manifold diagnostics are computed from the recorded
+estimates after the loop.
 The requested end time is rounded to the nearest whole number of steps.
 """
 from __future__ import annotations
@@ -18,8 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .estimators import adjugate, det, manifold_residual, mge_gain, storage
-from .types import EstimationProblem, EstimatorConfig, Trajectory, Variant
+from .estimators import LAWS, manifold_residual, storage
+# bench/tracing.py counts calls to these law helpers by wrapping them here
+from .estimators import adjugate, det, mge_gain  # noqa: F401
+from .filters import filter_law
+from .types import EstimationProblem, EstimatorConfig, Trajectory
 
 _STATE_NORM_LIMIT = 1e12
 
@@ -62,55 +68,6 @@ def _checked_stage(value, t: float) -> np.ndarray:
     return value
 
 
-def _stage_rhs(variant: Variant, q: int, tau: float, mu: float):
-    """Derivative of the flat joint state for precomputed (w, g) samples.
-
-    Flat layout for the filtered variants: [theta_hat, Omega.ravel(), G].
-    """
-    if variant is Variant.GE:
-        def f(y, w, g):
-            return (tau * (g - w @ y)) * w
-        return f
-
-    if variant is Variant.MGE:
-        def f(y, w, g):
-            return mge_gain(w, tau, mu) * (g - w @ y)
-        return f
-
-    q2 = q * q
-
-    def split(y):
-        return y[:q], y[q:q + q2].reshape(q, q), y[q + q2:]
-
-    if variant is Variant.MRE:
-        def dtheta(th, om, ge):
-            return tau * (ge - om @ th)
-    elif variant is Variant.MGE_MRE:
-        if q < 2:
-            raise ConfigurationError("modified filtered update needs dimension >= 2")
-
-        def dtheta(th, om, ge):
-            eps = ge - om @ th
-            d = tau * eps
-            d[-1] = 2.0 * tau * eps[-1] + tau * float(np.sum(eps[1:-1])) \
-                - (q - 1) * mu * tau * eps[0]
-            return d
-    elif variant is Variant.DREM:
-        def dtheta(th, om, ge):
-            delta = det(om)
-            return tau * delta * (adjugate(om) @ ge - delta * th)
-    else:
-        raise ConfigurationError(f"unknown estimator variant {variant}")
-
-    def f(y, w, g):
-        th, om, ge = split(y)
-        d_om = np.outer(w, w) - om
-        d_g = w * g - ge
-        return np.concatenate([dtheta(th, om, ge), d_om.ravel(), d_g])
-
-    return f
-
-
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
              settings: SimSettings) -> Trajectory:
     """Integrate one estimator against one problem and record its trajectory.
@@ -132,51 +89,43 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     w_grid = problem.regressor.sample(t_half)
     g_grid = w_grid @ problem.true_params
 
+    tau, mu = config.tau, config.mu
+    law = LAWS[variant]
     if variant.uses_filter:
+        # flat joint state [theta_hat, Omega.ravel(), G]
         y = np.concatenate([state0.theta_hat,
                             state0.filter.omega_ext.ravel(),
                             state0.filter.g_ext])
+        q2 = q * q
+
+        def f(y, w, g):
+            th, om, ge = y[:q], y[q:q + q2].reshape(q, q), y[q + q2:]
+            d_om, d_g = filter_law(om, ge, w, g)
+            return np.concatenate([law(th, om, ge, tau, mu), d_om.ravel(), d_g])
     else:
         y = state0.theta_hat.copy()
+
+        def f(y, w, g):
+            return law(y, w, g, tau, mu)
 
     record_ks = list(range(0, n_steps + 1, settings.record_every))
     if record_ks[-1] != n_steps:
         record_ks.append(n_steps)
     n_rec = len(record_ks)
-
-    times = np.empty(n_rec)
     estimates = np.empty((n_rec, q))
-    err_norms = np.empty(n_rec)
-    residuals = np.empty(n_rec)
-    storages = np.empty(n_rec)
-
-    theta = problem.true_params
-    mu = config.mu
 
     def record(slot: int, k: int, yk: np.ndarray):
-        t = k * dt
         with np.errstate(over="ignore", invalid="ignore"):
             bounded = np.all(np.isfinite(yk)) and float(yk @ yk) <= _STATE_NORM_LIMIT ** 2
         if not bounded:
             nonfin = np.nonzero(~np.isfinite(yk))[0]
             comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(yk)))
             raise DivergenceError(
-                f"state diverged by t={t} (component {comp}, "
+                f"state diverged by t={k * dt} (component {comp}, "
                 f"variant {variant.value}, dt={dt})"
             )
-        th = yk[:q]
-        times[slot] = t
-        estimates[slot] = th
-        terr = theta - th
-        err_norms[slot] = np.sqrt(terr @ terr)
-        if q >= 2:
-            residuals[slot] = manifold_residual(terr, mu)
-            storages[slot] = storage(residuals[slot])
-        else:
-            residuals[slot] = np.nan
-            storages[slot] = np.nan
+        estimates[slot] = yk[:q]
 
-    f = _stage_rhs(variant, q, config.tau, mu)
     sixth = dt / 6.0
     half = 0.5 * dt
 
@@ -203,8 +152,16 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
             slot += 1
             next_rec = record_ks[slot] if slot < n_rec else -1
 
-    return Trajectory(times=times, estimates=estimates, err_norms=err_norms,
-                      manifold_residuals=residuals, storage_values=storages)
+    terr = problem.true_params - estimates
+    # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i
+    err_norms = np.sqrt((terr[:, None, :] @ terr[:, :, None]).ravel())
+    if q >= 2:
+        residuals = manifold_residual(terr, mu)
+    else:
+        residuals = np.full(n_rec, np.nan)
+    return Trajectory(times=np.array(record_ks) * dt, estimates=estimates,
+                      err_norms=err_norms, manifold_residuals=residuals,
+                      storage_values=storage(residuals))
 
 
 def convergence_time(traj: Trajectory, tol: float) -> float | None:

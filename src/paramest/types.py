@@ -80,7 +80,12 @@ class EstimatorConfig:
     label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            names = ", ".join(v.value for v in Variant)
+            raise ConfigurationError(
+                f"variant must be one of {names}, got {self.variant!r}") from None
         if not (self.tau > 0):
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.variant.uses_manifold_gain and not np.isfinite(self.mu):

@@ -55,6 +55,25 @@ class TestRun:
         assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,patch", [
+        ("variant", {"estimators": [{"variant": "XX"}]}),
+        ("tau", {"estimators": [{"variant": "GE", "tau": "abc"}]}),
+        ("settings", {"settings": [1]}),
+    ], ids=["variant", "tau", "settings"])
+    def test_bad_config_value_exits_1_naming_field(self, tmp_path, capsys, field, patch):
+        doc = {
+            "problem": {"regressor": ["1"], "true_params": [1]},
+            "estimators": [{"variant": "GE", "tau": 1.0}],
+            "settings": {"t_end": 1.0},
+            **patch,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_dt_override(self, tmp_path):
         code = main(["run", "--scenario", "example1", "--t-end", "1",
                      "--dt", "0.01", "--out", str(tmp_path)])

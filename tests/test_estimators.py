@@ -203,6 +203,11 @@ class TestManifoldDiagnostics:
         with pytest.raises(ConfigurationError):
             manifold_residual(np.array([1.0]), mu=0.5)
 
+    def test_rows_of_an_array(self, rng):
+        errs = rng.normal(size=(5, 3))
+        rows = manifold_residual(errs, mu=0.7)
+        assert np.array_equal(rows, [manifold_residual(e, mu=0.7) for e in errs])
+
     @pytest.mark.parametrize("residual,expected", [(0.0, 0.0), (2.0, 2.0), (-3.0, 4.5)])
     def test_storage(self, residual, expected):
         assert storage(residual) == expected

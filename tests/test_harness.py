@@ -1,11 +1,13 @@
+import glob
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paramest.catalog import builtin_problem
+from paramest.catalog import BUILTIN_NAMES, builtin_problem
 from paramest.errors import ConfigurationError
 from paramest.harness import (
     OutputPaths,
@@ -216,15 +218,20 @@ class TestConfigFiles:
         assert config.settings.t_end == 3.0
 
     def test_shipped_configs_load(self):
-        # one canonical config ships per builtin scenario
-        import glob
-        import os
+        # one canonical config ships per builtin scenario and equals the catalog's
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths = sorted(glob.glob(os.path.join(here, "configs", "*.json")))
-        assert len(paths) == 6
-        for p in paths:
-            config = load_scenario(p)
-            assert config.estimators
+        paths = glob.glob(os.path.join(here, "configs", "*.json"))
+        names = sorted(os.path.splitext(os.path.basename(p))[0] for p in paths)
+        assert names == sorted(BUILTIN_NAMES)
+        for name in names:
+            got = load_scenario(os.path.join(here, "configs", f"{name}.json"))
+            want = scenario_from_name(name)
+            assert got.name == want.name
+            assert [str(c) for c in got.problem.regressor.components] == \
+                [str(c) for c in want.problem.regressor.components]
+            assert np.array_equal(got.problem.true_params, want.problem.true_params)
+            assert got.estimators == want.estimators
+            assert got.settings == want.settings
 
     def test_scenario_name_validation(self):
         with pytest.raises(ConfigurationError):

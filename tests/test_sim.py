@@ -5,11 +5,14 @@ import pytest
 
 from paramest.catalog import BUILTIN_NAMES, builtin, builtin_estimators, builtin_t_end
 from paramest.errors import ConfigurationError, DivergenceError
+from paramest.estimators import drem_rhs, ge_rhs, mge_mre_rhs, mge_rhs, mre_rhs
+from paramest.filters import FilterState, filter_rhs
 from paramest.sim import SimSettings, convergence_time, rk4_step, simulate
 from paramest.signals import regressor_from_strings
 from paramest.types import (
     EstimationProblem,
     EstimatorConfig,
+    EstimatorState,
     Trajectory,
     Variant,
 )
@@ -136,6 +139,53 @@ class TestSimulate:
         cfg = EstimatorConfig(variant=Variant.GE, tau=tau, theta_hat_0=np.zeros(3))
         with pytest.raises(ConfigurationError):
             simulate(problem, cfg, SimSettings(t_end=1.0))
+
+
+def reference_estimates(problem, cfg, dt, n_steps):
+    """theta_hat after every step of rk4_step over the public *_rhs laws,
+    on the flat state [theta_hat, Omega.ravel(), G]."""
+    q = problem.dimension
+    tau, mu = cfg.tau, cfg.mu
+
+    def rhs(t, y):
+        w = problem.regressor.evaluate(t)
+        g = float(w @ problem.true_params)
+        if cfg.variant is Variant.GE:
+            return ge_rhs(EstimatorState(y), w, g, tau)
+        if cfg.variant is Variant.MGE:
+            return mge_rhs(EstimatorState(y), w, g, tau, mu)
+        filt = FilterState(y[q:q + q * q].reshape(q, q), y[q + q * q:])
+        state = EstimatorState(y[:q], filt)
+        if cfg.variant is Variant.MRE:
+            d_theta = mre_rhs(state, tau)
+        elif cfg.variant is Variant.MGE_MRE:
+            d_theta = mge_mre_rhs(state, tau, mu)
+        else:
+            d_theta = drem_rhs(state, tau)
+        d_filt = filter_rhs(filt, w, g)
+        return np.concatenate([d_theta, d_filt.omega_ext.ravel(), d_filt.g_ext])
+
+    state0 = cfg.initial_state(q)
+    y = state0.theta_hat
+    if cfg.variant.uses_filter:
+        y = np.concatenate([y, state0.filter.omega_ext.ravel(), state0.filter.g_ext])
+    rows = [y[:q]]
+    for k in range(n_steps):
+        y = rk4_step(rhs, k * dt, y, dt)
+        rows.append(y[:q])
+    return np.array(rows)
+
+
+class TestReferenceIntegrator:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_simulate_matches_rk4_step_over_rhs_laws(self, name, variant):
+        problem, tau, mu = make_problem(name)
+        cfg = EstimatorConfig(variant=variant, tau=tau, mu=mu)
+        traj = simulate(problem, cfg, SimSettings(t_end=0.2, dt=1e-3, record_every=1))
+        ref = reference_estimates(problem, cfg, 1e-3, 200)
+        assert traj.estimates.shape == ref.shape
+        assert np.max(np.abs(traj.estimates - ref)) <= 1e-12
 
 
 class TestDtRobustness:
