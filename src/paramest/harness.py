@@ -203,7 +203,7 @@ def _problem_from_json(node) -> EstimationProblem:
         raise ConfigurationError("problem must be a builtin name or an object")
     try:
         spec = regressor_from_strings(node["regressor"])
-        theta = np.asarray(node["true_params"], dtype=float)
+        theta = _vector("true_params", node["true_params"])
     except KeyError as exc:
         raise ConfigurationError(f"problem object missing field {exc}") from None
     return EstimationProblem(regressor=spec, true_params=theta)
@@ -214,6 +214,13 @@ def _number(field: str, value, cast=float):
         return cast(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{field} must be a number, got {value!r}") from None
+
+
+def _vector(field: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{field} must be a list of numbers, got {value!r}") from None
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -237,7 +244,7 @@ def _estimator_from_json(node) -> EstimatorConfig:
         variant=node["variant"],
         tau=_number("tau", node.get("tau", 1.0)),
         mu=_number("mu", node.get("mu", 0.0)),
-        theta_hat_0=None if theta0 is None else np.asarray(theta0, dtype=float),
+        theta_hat_0=None if theta0 is None else _vector("theta_hat_0", theta0),
         filter_init=_number("filter_init", node.get("filter_init", 0.0)),
         label=node.get("label"),
     )
@@ -262,8 +269,10 @@ def load_scenario(path: str, dt: float | None = None,
     est_nodes = doc.get("estimators")
     if est_nodes is None and isinstance(doc.get("problem"), str):
         estimators = catalog.builtin_estimators(doc["problem"])
-    else:
+    elif est_nodes is None or isinstance(est_nodes, list):
         estimators = [_estimator_from_json(n) for n in (est_nodes or [])]
+    else:
+        raise ConfigurationError(f"estimators must be a list, got {est_nodes!r}")
 
     st = _object(doc, "settings")
     default_t_end = None

@@ -1,11 +1,15 @@
 """Regressor signal construction, evaluation, and excitation diagnostics.
 
-A regressor is a known vector signal w(t) in R^q. Each component is a small
-expression tree over the primitives {constant, t, sin, cos, exp, pow} closed
-under +, -, *, /. Expressions can be built programmatically or parsed from a
-compact infix grammar (see ``parse_expr``), e.g.::
+A regressor is a known vector signal w(t) in R^q. Each component is a
+``SignalExpr`` parsed from an infix string over numeric literals, t, sin,
+cos, exp and pow(base, p), closed under + - * / and unary minus, e.g.::
 
     (sin(t)+cos(t))/pow(1+t,0.5) - sin(t)/(2*pow(1+t,1.5))
+
+The grammar is a whitelist over Python expression syntax: ``ast.parse``
+reads the string and any node outside the grammar is a parse error, as is
+nesting too deep for the parser. An accepted string is compiled once and
+evaluated with no builtins in scope.
 
 Excitation diagnostics integrate the windowed Gram matrix
 ``int_t^{t+T} w(s) w(s)^T ds`` by composite trapezoid rule and report its
@@ -15,6 +19,7 @@ when the bound holds on a single finite window.
 """
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -23,91 +28,114 @@ import numpy as np
 from .errors import ConfigurationError, SignalEvalError, SignalParseError
 
 _DENOM_FLOOR = 1e-300
+_ARITY = {"sin": 1, "cos": 1, "exp": 1, "pow": 2}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_FOREIGN = re.compile(r"[^A-Za-z0-9_.()+\-*/, ]")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_LITERAL = re.compile(r"[0-9.eE+-]+")
+
+
+def _clip(text: str) -> str:
+    return repr(text if len(text) <= 80 else text[:77] + "...")
+
+
+def _nonzero(b, label: str):
+    """The denominator b, unless it comes within the floor of zero."""
+    if np.min(np.abs(b)) < _DENOM_FLOOR:
+        raise SignalEvalError(f"denominator magnitude below {_DENOM_FLOOR:g} in {label}")
+    return b
+
+
+_SCOPE = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "pow": np.power, "_nonzero": _nonzero}
+
+
+def _compilable(source: str) -> tuple[str, list[float]]:
+    """Check source against the grammar and rewrite it for ``eval``.
+
+    Any node outside the grammar is a SyntaxError. In the returned text each
+    literal reads ``(_k[i]*_one)``, with its value at index i of the returned
+    list, and each denominator d reads ``_nonzero(d, label)``. Literals are
+    arrays like t because numpy takes other loops for scalar operands (power
+    with a scalar exponent rounds differently). The walk is iterative, and
+    text compiles to about three times the nesting depth an ``ast`` tree does.
+    """
+    def outside(node):
+        return SyntaxError(f"{_clip(ast.get_source_segment(source, node))} is outside "
+                           "the signal grammar")
+
+    consts = []
+    # (position, order among edits there: closing before opening, outer
+    # before inner; text to insert; number of source characters it replaces)
+    edits = []
+    todo = [ast.parse(source, mode="eval").body]
+    while todo:
+        node = todo.pop()
+        start, end = node.col_offset, node.end_col_offset
+        if isinstance(node, ast.Constant):
+            literal = source[start:end]
+            if type(node.value) not in (int, float) or not _LITERAL.fullmatch(literal):
+                raise outside(node)
+            edits.append((start, (1, -end, 1), f"(_k[{len(consts)}]*_one)", end - start))
+            consts.append(float(literal))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            todo += [node.left, node.right]
+            if isinstance(node.op, ast.Div):
+                a, b = node.right.col_offset, node.right.end_col_offset
+                edits.append((a, (1, -b, 0), "_nonzero(", 0))
+                edits.append((b, (0, -a), f", {_clip(source[a:b])!r})", 0))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            todo.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and len(node.args) == _ARITY.get(node.func.id) and not node.keywords
+              # Python also reads "(sin)(t)" and a trailing comma "sin(t,)"
+              and node.func.col_offset == start
+              and "," not in source[node.args[-1].end_col_offset:end]):
+            todo += node.args
+        elif not (isinstance(node, ast.Name) and node.id == "t"):
+            raise outside(node)
+
+    pieces, done = [], 0
+    for pos, _, text, replaced in sorted(edits):
+        pieces += [source[done:pos], text]
+        done = pos + replaced
+    return "".join(pieces) + source[done:], consts
 
 
 class SignalExpr:
-    """Base class for scalar signal expression nodes.
+    """One scalar signal, parsed from an infix string and compiled once.
 
-    Nodes evaluate on a scalar time or a numpy array of times; evaluation is
-    pure and thread-safe.
+    Calling it on a time or an array of times evaluates it elementwise; the
+    evaluation is pure and thread-safe. ``str`` gives back the source text.
     """
 
+    def __init__(self, text: str):
+        self.text = text
+        # the tokens of the grammar are ASCII and may be split by any
+        # whitespace; integer literals may carry leading zeros
+        source = _LEADING_ZEROS.sub("", " ".join(text.split()))
+        try:
+            bad = _FOREIGN.search(source)
+            if bad:
+                raise SyntaxError(f"unexpected character {bad.group()!r}")
+            code, consts = _compilable(source)
+            self._code = compile(code, "<signal>", "eval")
+        except RecursionError:
+            raise SignalParseError(f"expression nested too deeply: {_clip(text)}") from None
+        except (SyntaxError, ValueError) as exc:
+            raise SignalParseError(f"{getattr(exc, 'msg', exc)} in {_clip(text)}") from None
+        self._scope = {**_SCOPE, "_k": consts}
+
     def __call__(self, t):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Const(SignalExpr):
-    value: float
-
-    def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        one = np.ones_like(t) if self._scope["_k"] else None
+        return eval(self._code, {**self._scope, "t": t, "_one": one})
 
     def __str__(self):
-        return format_float(self.value)
+        return self.text
 
-
-@dataclass(frozen=True)
-class Time(SignalExpr):
-    def __call__(self, t):
-        return np.asarray(t, dtype=float)
-
-    def __str__(self):
-        return "t"
-
-
-@dataclass(frozen=True)
-class Func(SignalExpr):
-    """sin, cos, or exp applied to a subexpression."""
-
-    name: str
-    arg: SignalExpr
-
-    _TABLE = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-    def __call__(self, t):
-        return self._TABLE[self.name](self.arg(t))
-
-    def __str__(self):
-        return f"{self.name}({self.arg})"
-
-
-@dataclass(frozen=True)
-class Pow(SignalExpr):
-    base: SignalExpr
-    exponent: SignalExpr
-
-    def __call__(self, t):
-        return np.power(self.base(t), self.exponent(t))
-
-    def __str__(self):
-        return f"pow({self.base},{self.exponent})"
-
-
-@dataclass(frozen=True)
-class BinOp(SignalExpr):
-    op: str  # one of + - * /
-    left: SignalExpr
-    right: SignalExpr
-
-    def __call__(self, t):
-        a = self.left(t)
-        b = self.right(t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        # division: denominators must stay bounded away from zero
-        if np.min(np.abs(b)) < _DENOM_FLOOR:
-            raise SignalEvalError(
-                f"denominator magnitude below {_DENOM_FLOOR:g} in '{self.right}'"
-            )
-        return a / b
-
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
+    def __repr__(self):
+        return f"SignalExpr({self.text!r})"
 
 
 def format_float(x: float) -> str:
@@ -116,117 +144,9 @@ def format_float(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-# --------------------------------------------------------------------------
-# Infix grammar:  expr := term (('+'|'-') term)*
-#                 term := unary (('*'|'/') unary)*
-#                 unary := '-' unary | atom
-#                 atom := NUMBER | 't' | fn '(' expr ')' | 'pow' '(' expr ',' expr ')'
-#                       | '(' expr ')'
-# --------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<sym>[()+\-*/,]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise SignalParseError(f"unexpected character {text[pos]!r} at {pos} in {text!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("sym", m.group("sym")))
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, val = self.next()
-        if kind != "sym" or val != sym:
-            raise SignalParseError(f"expected {sym!r}, got {val!r} in {self.text!r}")
-
-    def parse(self) -> SignalExpr:
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise SignalParseError(f"trailing input {val!r} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("sym", "*") or self.peek() == ("sym", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("sym", "-"):
-            self.next()
-            return BinOp("*", Const(-1.0), self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            if val == "t":
-                return Time()
-            if val in ("sin", "cos", "exp"):
-                self.expect_sym("(")
-                arg = self.expr()
-                self.expect_sym(")")
-                return Func(val, arg)
-            if val == "pow":
-                self.expect_sym("(")
-                base = self.expr()
-                self.expect_sym(",")
-                exponent = self.expr()
-                self.expect_sym(")")
-                return Pow(base, exponent)
-            raise SignalParseError(f"unknown identifier {val!r} in {self.text!r}")
-        if (kind, val) == ("sym", "("):
-            node = self.expr()
-            self.expect_sym(")")
-            return node
-        raise SignalParseError(f"unexpected token {val!r} in {self.text!r}")
-
-
 def parse_expr(text: str) -> SignalExpr:
-    """Parse an infix signal expression string into a SignalExpr tree."""
-    return _Parser(text).parse()
+    """Parse an infix signal expression string into a SignalExpr."""
+    return SignalExpr(text)
 
 
 # --------------------------------------------------------------------------
@@ -248,15 +168,8 @@ class RegressorSpec:
         return len(self.components)
 
     def evaluate(self, t: float) -> np.ndarray:
-        """Evaluate w(t) at a single time; raises SignalEvalError on non-finite."""
-        out = np.empty(self.dimension)
-        for i, comp in enumerate(self.components):
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = float(comp(t))
-            if not np.isfinite(v):
-                raise SignalEvalError(f"component {i} evaluated to {v!r} at t={t}")
-            out[i] = v
-        return out
+        """w(t) at a single time: ``sample`` at one point."""
+        return self.sample(np.array([t], dtype=float))[0]
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """Evaluate on an array of times; returns shape (len(ts), q)."""
@@ -273,8 +186,14 @@ class RegressorSpec:
 
 
 def regressor_from_strings(exprs) -> RegressorSpec:
-    """Build a RegressorSpec from a sequence of infix expression strings."""
-    return RegressorSpec(tuple(parse_expr(e) for e in exprs))
+    """Build a RegressorSpec from a list or tuple of infix expression strings."""
+    if not isinstance(exprs, (list, tuple)):
+        raise ConfigurationError(
+            f"regressor must be a list of expression strings, got {type(exprs).__name__}")
+    for i, text in enumerate(exprs):
+        if not isinstance(text, str):
+            raise SignalParseError(f"regressor component {i} must be a string, got {text!r}")
+    return RegressorSpec(tuple(SignalExpr(text) for text in exprs))
 
 
 # --------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class EstimatorConfig:
             names = ", ".join(v.value for v in Variant)
             raise ConfigurationError(
                 f"variant must be one of {names}, got {self.variant!r}") from None
-        if not (self.tau > 0):
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        if not (0 < self.tau < np.inf):
+            raise ConfigurationError(f"tau must be positive and finite, got {self.tau}")
         if self.variant.uses_manifold_gain and not np.isfinite(self.mu):
             raise ConfigurationError("mu must be finite for the modified-gain variants")
         if self.theta_hat_0 is not None:

@@ -59,7 +59,16 @@ class TestRun:
         ("variant", {"estimators": [{"variant": "XX"}]}),
         ("tau", {"estimators": [{"variant": "GE", "tau": "abc"}]}),
         ("settings", {"settings": [1]}),
-    ], ids=["variant", "tau", "settings"])
+        ("estimators", {"estimators": 5}),
+        ("regressor", {"problem": {"regressor": None, "true_params": [1]}}),
+        ("regressor", {"problem": {"regressor": "t", "true_params": [1]}}),
+        ("component 0", {"problem": {"regressor": [1, 2], "true_params": [1, 1]}}),
+        ("true_params", {"problem": {"regressor": ["1"], "true_params": ["x"]}}),
+        ("theta_hat_0", {"estimators": [{"variant": "GE", "theta_hat_0": ["a", 1]}]}),
+        ("tau", {"estimators": [{"variant": "GE", "tau": "1e400"}]}),
+    ], ids=["variant", "tau", "settings", "estimators", "regressor-null",
+            "regressor-string", "regressor-component", "true_params",
+            "theta_hat_0", "tau-inf"])
     def test_bad_config_value_exits_1_naming_field(self, tmp_path, capsys, field, patch):
         doc = {
             "problem": {"regressor": ["1"], "true_params": [1]},
@@ -68,11 +77,30 @@ class TestRun:
             **patch,
         }
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
+        # a bare 1e400 in the file, which JSON reads as inf
+        cfg.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("regressor", [
+        "(" * 3000 + "t" + ")" * 3000,
+        "-" * 3000 + "t",
+        "+".join(["t"] * 5000),
+    ], ids=["parentheses", "unary-minus", "long-sum"])
+    def test_deeply_nested_regressor_exits_1(self, tmp_path, capsys, regressor):
+        doc = {
+            "problem": {"regressor": [regressor], "true_params": [1]},
+            "estimators": [{"variant": "GE", "tau": 1.0}],
+            "settings": {"t_end": 1.0},
+        }
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested" in err
+        assert len(err.splitlines()) == 1
 
     def test_dt_override(self, tmp_path):
         code = main(["run", "--scenario", "example1", "--t-end", "1",

@@ -19,6 +19,46 @@ from paramest.signals import (
 )
 
 
+class _BelowFloor(Exception):
+    pass
+
+
+def _divide(a, b):
+    if np.min(np.abs(b)) < 1e-300:
+        raise _BelowFloor
+    return a / b
+
+
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide}
+
+# a grammar tree as (text, direct numpy evaluation); literals are arrays
+# like t, so numpy picks the same loops as for the parsed expression
+_leaves = st.one_of(
+    st.just(("t", lambda t: t)),
+    st.one_of(st.integers(0, 999).map(str),
+              st.floats(0.0, 1e6, allow_nan=False).map(repr)).map(
+        lambda s: (s, lambda t: float(s) * np.ones_like(t))),
+)
+
+
+def _branches(sub):
+    return st.one_of(
+        sub.map(lambda a: (f"-{a[0]}", lambda t: -a[1](t))),
+        st.tuples(st.sampled_from(sorted(_FUNCS)), sub).map(
+            lambda a: (f"{a[0]}({a[1][0]})", lambda t: _FUNCS[a[0]](a[1][1](t)))),
+        st.tuples(sub, sub).map(
+            lambda a: (f"pow({a[0][0]}, {a[1][0]})",
+                       lambda t: np.power(a[0][1](t), a[1][1](t)))),
+        st.tuples(sub, st.sampled_from(sorted(_OPS)), sub).map(
+            lambda a: (f"({a[0][0]} {a[1]} {a[2][0]})",
+                       lambda t: _OPS[a[1]](a[0][1](t), a[2][1](t)))),
+    )
+
+
+_trees = st.recursive(_leaves, _branches, max_leaves=10)
+
+
 class TestEval:
     def test_example1_at_zero(self):
         spec, _, _, _ = builtin("example1")
@@ -54,8 +94,12 @@ class TestEval:
 
     def test_divide_near_zero_raises(self):
         spec = regressor_from_strings(["1/(t-1)"])
-        with pytest.raises(SignalEvalError, match="denominator"):
+        with pytest.raises(SignalEvalError, match="denominator .* in 't-1'"):
             spec.evaluate(1.0)
+
+    def test_evaluate_is_sample_at_one_point(self):
+        spec, _, _, _ = builtin("example6")
+        assert np.array_equal(spec.evaluate(2.5), spec.sample([2.5])[0])
 
 
 class TestParser:
@@ -73,14 +117,61 @@ class TestParser:
 
     @pytest.mark.parametrize("bad", [
         "sin(t", "1 +", "bogus(t)", "t t", "pow(t)", "1 $ 2",
+        "2**t", "+t", "t % 2", "True", "'a'", "1j", "0x10", "1_0", "sin(t, 1)",
+        "sin(x=t)", "[t]", "t.real", "(t := 1)", "lambda: 1", "__import__('os')",
+        "t if t else t", "(sin)(t)", "sin(t,)", "t # 1", "...", "",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(SignalParseError):
             parse_expr(bad)
 
+    def test_whitespace_and_leading_zeros(self):
+        e = parse_expr(" 007*t\n+\t.5e1 ")
+        assert float(e(2.0)) == 19.0
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 3000 + "t" + ")" * 3000,
+        "-" * 3000 + "t",
+        "+".join(["t"] * 5000),
+    ], ids=["parentheses", "unary-minus", "long-sum"])
+    def test_excessive_nesting_is_a_parse_error(self, deep):
+        with pytest.raises(SignalParseError, match="nested"):
+            parse_expr(deep)
+
+    def test_long_sum_evaluates(self):
+        # deeper than a recursive tree walk could evaluate
+        e = parse_expr("+".join(["t"] * 990))
+        assert float(e(2.0)) == 1980.0
+
+    @given(tree=_trees)
+    def test_grammar_trees_match_numpy(self, tree):
+        text, direct = tree
+        expr = parse_expr(text)
+        assert str(expr) == text
+        t = np.linspace(0.0, 10.0, 11)
+        with np.errstate(all="ignore"):
+            try:
+                want = direct(t)
+            except _BelowFloor:
+                with pytest.raises(SignalEvalError, match="denominator"):
+                    expr(t)
+                return
+            got = expr(t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_empty_regressor_rejected(self):
         with pytest.raises(ConfigurationError):
             regressor_from_strings([])
+
+    @pytest.mark.parametrize("exprs", ["t", "sin(t)", None, 5])
+    def test_regressor_must_be_a_list(self, exprs):
+        with pytest.raises(ConfigurationError, match="regressor must be a list"):
+            regressor_from_strings(exprs)
+
+    def test_non_string_component_named(self):
+        with pytest.raises(SignalParseError, match="component 1"):
+            regressor_from_strings(["1", 2])
 
 
 class TestBuiltin:
