@@ -2,94 +2,48 @@
 
 Six named problems spanning persistently exciting, decaying, and mixed
 regressors, each with the learning rate and manifold slope used in the
-reference runs. ``builtin`` returns the raw (regressor, theta, tau, mu)
-tuple; ``harness.scenario_from_name`` wraps it in a full scenario
-configuration with the default estimator line-up and integration settings for
-that case.
+reference runs. Each builtin is one scenario file shipped as package data in
+``scenarios/<name>.json``, with the schema of ``harness.load_scenario`` plus
+a one-line ``note``; ``document`` returns the parsed file and
+``harness.scenario_from_name`` reads it into a full scenario configuration.
+The accessors below read the same document: ``builtin`` returns the raw
+(regressor, theta, tau, mu) tuple, with tau and mu from the first estimator
+entry (all entries of a builtin share them).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from importlib import resources
 
 import numpy as np
 
 from .errors import ScenarioNotFoundError
 from .signals import RegressorSpec, regressor_from_strings
-from .types import EstimationProblem, EstimatorConfig, Variant
+from .types import EstimationProblem, EstimatorConfig
 
-# the decaying two-tone component shared by examples 2, 4 and 6
-_DECAYING = "(sin(t)+cos(t))/pow(1+t,0.5) - sin(t)/(2*pow(1+t,1.5))"
+_SCENARIOS = resources.files(__package__).joinpath("scenarios")
 
-
-@dataclass(frozen=True)
-class _Entry:
-    expressions: tuple[str, ...]
-    theta: tuple[float, ...]
-    tau: float
-    mu: float
-    variants: tuple[Variant, ...]
-    t_end: float
-    note: str
+BUILTIN_NAMES = tuple(sorted(entry.name[:-len(".json")] for entry in _SCENARIOS.iterdir()
+                             if entry.name.endswith(".json")))
 
 
-_CATALOG: dict[str, _Entry] = {
-    "example1": _Entry(
-        expressions=("1", "sin(t)"),
-        theta=(-2.0, 2.0), tau=1.0, mu=0.95,
-        variants=(Variant.MGE,), t_end=30.0,
-        note="persistently exciting (1, sin t); modified-gain estimator",
-    ),
-    "example2": _Entry(
-        expressions=("1", _DECAYING),
-        theta=(-2.0, 2.0), tau=1.0, mu=0.95,
-        variants=(Variant.MGE,), t_end=30.0,
-        note="decaying second component (not PE); modified-gain estimator",
-    ),
-    "example3": _Entry(
-        expressions=("sin(t)", "cos(t)", "sin(2*t)"),
-        theta=(1.0, 2.0, 3.0), tau=1.0, mu=0.55,
-        variants=(Variant.GE, Variant.MGE), t_end=50.0,
-        note="persistently exciting three-tone; gradient vs modified gain",
-    ),
-    "example4": _Entry(
-        expressions=("1", _DECAYING),
-        theta=(-2.0, 2.0), tau=1.0, mu=0.75,
-        variants=(Variant.MRE, Variant.MGE_MRE), t_end=30.0,
-        note="not PE; filtered estimator vs filtered + modified gain",
-    ),
-    "example5": _Entry(
-        expressions=("1", "exp(-0.25*t)"),
-        theta=(-2.0, 2.0), tau=50.0, mu=0.75,
-        variants=(Variant.MRE, Variant.MGE_MRE), t_end=100.0,
-        note="exponentially decaying component (not PE); high learning rate",
-    ),
-    "example6": _Entry(
-        expressions=("1", "cos(t)", _DECAYING),
-        theta=(1.0, 2.0, 3.0), tau=10.0, mu=0.95,
-        variants=(Variant.GE, Variant.MRE, Variant.DREM, Variant.MGE_MRE), t_end=50.0,
-        note="mixed three-component regressor; four-way comparison",
-    ),
-}
-
-BUILTIN_NAMES = tuple(_CATALOG)
-
-
-def _lookup(name: str) -> _Entry:
-    try:
-        return _CATALOG[name]
-    except KeyError:
+def document(name: str) -> dict:
+    """The parsed scenario file of a builtin name."""
+    if name not in BUILTIN_NAMES:
         raise ScenarioNotFoundError(
             f"unknown scenario {name!r}; builtins are {', '.join(BUILTIN_NAMES)}"
-        ) from None
+        )
+    return json.loads(_SCENARIOS.joinpath(f"{name}.json").read_text())
 
 
 def builtin(name: str) -> tuple[RegressorSpec, np.ndarray, float, float]:
     """Regressor, true parameters, and default (tau, mu) for a builtin name."""
-    entry = _lookup(name)
-    spec = regressor_from_strings(entry.expressions)
+    doc = document(name)
+    spec = regressor_from_strings(doc["problem"]["regressor"])
     # builtin expressions are validated up front: finite on a broad time grid
     spec.sample(np.linspace(0.0, 200.0, 501))
-    return spec, np.array(entry.theta), entry.tau, entry.mu
+    first = doc["estimators"][0]
+    return spec, np.array(doc["problem"]["true_params"], dtype=float), first["tau"], first["mu"]
 
 
 def builtin_problem(name: str) -> EstimationProblem:
@@ -99,18 +53,17 @@ def builtin_problem(name: str) -> EstimationProblem:
 
 def builtin_estimators(name: str) -> list[EstimatorConfig]:
     """Default estimator line-up for a builtin scenario (reference gains)."""
-    entry = _lookup(name)
-    return [EstimatorConfig(variant=v, tau=entry.tau, mu=entry.mu)
-            for v in entry.variants]
+    return [EstimatorConfig(**entry) for entry in document(name)["estimators"]]
 
 
 def builtin_t_end(name: str) -> float:
-    return _lookup(name).t_end
+    return document(name)["settings"]["t_end"]
 
 
 def describe(name: str) -> str:
-    entry = _lookup(name)
-    comps = ", ".join(entry.expressions)
-    variants = "+".join(v.value for v in entry.variants)
-    return (f"{name}: w=({comps}), theta={list(entry.theta)}, "
-            f"tau={entry.tau:g}, mu={entry.mu:g}, estimators={variants} -- {entry.note}")
+    doc = document(name)
+    problem, first = doc["problem"], doc["estimators"][0]
+    comps = ", ".join(problem["regressor"])
+    variants = "+".join(entry["variant"] for entry in doc["estimators"])
+    return (f"{name}: w=({comps}), theta={problem['true_params']}, "
+            f"tau={first['tau']:g}, mu={first['mu']:g}, estimators={variants} -- {doc['note']}")

@@ -109,11 +109,14 @@ def _cmd_list(_args) -> int:
 
 def _cmd_check_pe(args) -> int:
     spec, _, _, _ = catalog.builtin(args.scenario)
+    for flag, value in (("--window", args.window), ("--step", args.step)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
     t_max = args.t_max
     if t_max is None:
         t_max = max(catalog.builtin_t_end(args.scenario) - args.window, 0.0)
-    if args.step <= 0:
-        raise ConfigurationError("--step must be positive")
+    if not math.isfinite(t_max):
+        raise ConfigurationError(f"--t-max must be finite, got {t_max}")
     starts = [i * args.step for i in range(int(math.floor(t_max / args.step)) + 1)]
     table = excitation_sweep(spec, starts, args.window, args.dt)
     print(f"# {args.scenario}: min eigenvalue of the Gram integral over "

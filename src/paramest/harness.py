@@ -7,10 +7,13 @@ tolerances, and the count of storage increases (the manifold-attractivity
 diagnostic the modified-gain variants are expected to keep near zero), plus
 a sliding-window excitation summary of the shared regressor.
 
-Scenario files are JSON with the field names of ScenarioConfig; see
-configs/ in the repository for annotated examples. ``problem`` is either a
-builtin scenario name or an inline object with regressor expression strings
-and true parameters.
+Scenario files are JSON with the field names of ScenarioConfig plus an
+optional one-line ``note``; the six builtins ship as such files in
+``paramest/scenarios/``. ``problem`` is either a builtin scenario name or an
+inline object with regressor expression strings and true parameters. One
+reader (``_scenario_from_doc``) serves both ``load_scenario`` and
+``scenario_from_name``: it rejects unknown fields at every level and maps
+every bad value to ConfigurationError naming the field.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from . import catalog
 from .errors import ConfigurationError
 from .sim import SimSettings, convergence_time, simulate
 from .signals import excitation_sweep, format_float, regressor_from_strings
-from .types import EstimationProblem, EstimatorConfig, Trajectory
+from .types import EstimationProblem, EstimatorConfig, Trajectory, check_name
 
 CONVERGENCE_TOLERANCES = (0.1, 0.01)
 STORAGE_BAND = 1e-10
@@ -50,6 +53,7 @@ class ScenarioConfig:
     outputs: OutputPaths = field(default_factory=OutputPaths)
 
     def __post_init__(self):
+        check_name("name", self.name)
         if not self.estimators:
             raise ConfigurationError(f"scenario {self.name!r} configures no estimators")
         labels = [e.resolved_label for e in self.estimators]
@@ -183,71 +187,19 @@ def read_trajectory_csv(path: str) -> Trajectory:
 # Scenario construction: builtins and JSON files
 # --------------------------------------------------------------------------
 
+_FIELDS = {
+    "top-level": {"name", "note", "problem", "estimators", "settings", "outputs"},
+    "problem": {"regressor", "true_params"},
+    "estimator": {"variant", "tau", "mu", "theta_hat_0", "filter_init", "label"},
+    "settings": {"t_end", "dt", "record_every"},
+    "outputs": {"csv", "svg"},
+}
+
+
 def scenario_from_name(name: str, dt: float | None = None,
                        t_end: float | None = None) -> ScenarioConfig:
-    """Default scenario for a builtin problem (catalog estimators/settings)."""
-    problem = catalog.builtin_problem(name)
-    settings = SimSettings(
-        t_end=t_end if t_end is not None else catalog.builtin_t_end(name),
-        dt=dt if dt is not None else 1e-3,
-    )
-    return ScenarioConfig(name=name, problem=problem,
-                          estimators=catalog.builtin_estimators(name),
-                          settings=settings)
-
-
-def _problem_from_json(node) -> EstimationProblem:
-    if isinstance(node, str):
-        return catalog.builtin_problem(node)
-    if not isinstance(node, dict):
-        raise ConfigurationError("problem must be a builtin name or an object")
-    try:
-        spec = regressor_from_strings(node["regressor"])
-        theta = _vector("true_params", node["true_params"])
-    except KeyError as exc:
-        raise ConfigurationError(f"problem object missing field {exc}") from None
-    return EstimationProblem(regressor=spec, true_params=theta)
-
-
-def _number(field: str, value, cast=float):
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{field} must be a number, got {value!r}") from None
-
-
-def _vector(field: str, value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{field} must be a list of numbers, got {value!r}") from None
-
-
-def _object(doc: dict, key: str) -> dict:
-    node = doc.get(key)
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigurationError(f"{key} must be an object, got {node!r}")
-    return node
-
-
-def _estimator_from_json(node) -> EstimatorConfig:
-    if not isinstance(node, dict) or "variant" not in node:
-        raise ConfigurationError("each estimator entry needs at least a variant")
-    known = {"variant", "tau", "mu", "theta_hat_0", "filter_init", "label"}
-    unknown = set(node) - known
-    if unknown:
-        raise ConfigurationError(f"unknown estimator fields: {sorted(unknown)}")
-    theta0 = node.get("theta_hat_0")
-    return EstimatorConfig(
-        variant=node["variant"],
-        tau=_number("tau", node.get("tau", 1.0)),
-        mu=_number("mu", node.get("mu", 0.0)),
-        theta_hat_0=None if theta0 is None else _vector("theta_hat_0", theta0),
-        filter_init=_number("filter_init", node.get("filter_init", 0.0)),
-        label=node.get("label"),
-    )
+    """Default scenario for a builtin problem: its shipped scenario file."""
+    return _scenario_from_doc(catalog.document(name), name, dt, t_end)
 
 
 def load_scenario(path: str, dt: float | None = None,
@@ -258,36 +210,94 @@ def load_scenario(path: str, dt: float | None = None,
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
+    return _scenario_from_doc(doc, path, dt, t_end)
 
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: top level must be an object")
-    name = doc.get("name") or os.path.splitext(os.path.basename(path))[0]
-    problem = _problem_from_json(doc.get("problem", {}))
+
+def _scenario_from_doc(doc, source: str, dt, t_end) -> ScenarioConfig:
+    """Read one scenario document; source (a file path or builtin name) names
+    it in messages, and its stem is the default scenario name."""
+    doc = _fields("top-level", doc)
+    if isinstance(doc.get("problem"), str):
+        # a builtin reference: the builtin's problem, plus its estimators and
+        # settings wherever this document leaves them out
+        base = catalog.document(doc["problem"])
+        doc = {**doc, "problem": base["problem"],
+               "settings": {**base["settings"], **_fields("settings", doc.get("settings"))}}
+        if doc.get("estimators") is None:
+            doc["estimators"] = base["estimators"]
+    if not isinstance(doc.get("note", ""), str):
+        raise ConfigurationError(f"note must be a string, got {doc['note']!r}")
+
+    problem = _fields("problem", doc.get("problem"))
+    try:
+        spec = regressor_from_strings(problem["regressor"])
+        theta = _vector("true_params", problem["true_params"])
+    except KeyError as exc:
+        raise ConfigurationError(f"problem object missing field {exc}") from None
 
     est_nodes = doc.get("estimators")
-    if est_nodes is None and isinstance(doc.get("problem"), str):
-        estimators = catalog.builtin_estimators(doc["problem"])
-    elif est_nodes is None or isinstance(est_nodes, list):
-        estimators = [_estimator_from_json(n) for n in (est_nodes or [])]
-    else:
+    if est_nodes is not None and not isinstance(est_nodes, list):
         raise ConfigurationError(f"estimators must be a list, got {est_nodes!r}")
+    estimators = [_estimator_from_json(n) for n in (est_nodes or [])]
 
-    st = _object(doc, "settings")
-    default_t_end = None
-    if isinstance(doc.get("problem"), str):
-        default_t_end = catalog.builtin_t_end(doc["problem"])
-    resolved_t_end = t_end if t_end is not None else st.get("t_end", default_t_end)
-    if resolved_t_end is None:
-        raise ConfigurationError(f"{path}: settings.t_end is required for inline problems")
-    settings = SimSettings(
-        t_end=_number("settings.t_end", resolved_t_end),
-        dt=_number("settings.dt", dt if dt is not None else st.get("dt", 1e-3)),
-        record_every=_number("settings.record_every", st.get("record_every", 10), int),
+    st = _fields("settings", doc.get("settings"))
+    if t_end is None:
+        t_end = st.get("t_end")
+    if t_end is None:
+        raise ConfigurationError(f"{source}: settings.t_end is required for inline problems")
+    settings = SimSettings(t_end=t_end, dt=dt if dt is not None else st.get("dt", 1e-3),
+                           record_every=st.get("record_every", 10))
+
+    out = _fields("outputs", doc.get("outputs"))
+    for key, value in out.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigurationError(f"outputs.{key} must be a string, got {value!r}")
+    name = doc.get("name")
+    if name is None:
+        name = os.path.splitext(os.path.basename(source))[0]
+    return ScenarioConfig(name=name, problem=EstimationProblem(regressor=spec, true_params=theta),
+                          estimators=estimators, settings=settings, outputs=OutputPaths(**out))
+
+
+def _fields(kind: str, node) -> dict:
+    """node as a dict holding only the known fields of kind; None reads as {}."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"{kind} must be an object, got {node!r}")
+    unknown = set(node) - _FIELDS[kind]
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} fields: {sorted(unknown)}")
+    return node
+
+
+def _number(field: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"{field} must be a number, got {value!r}")
+
+
+def _vector(field: str, value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{field} must be a list of numbers, got {value!r}")
+    return np.array([_number(f"{field}[{i}]", v) for i, v in enumerate(value)])
+
+
+def _estimator_from_json(node) -> EstimatorConfig:
+    node = _fields("estimator", node)
+    if "variant" not in node:
+        raise ConfigurationError("each estimator entry needs at least a variant")
+    theta0 = node.get("theta_hat_0")
+    return EstimatorConfig(
+        variant=node["variant"],
+        tau=_number("tau", node.get("tau", 1.0)),
+        mu=_number("mu", node.get("mu", 0.0)),
+        theta_hat_0=None if theta0 is None else _vector("theta_hat_0", theta0),
+        filter_init=_number("filter_init", node.get("filter_init", 0.0)),
+        label=node.get("label"),
     )
-
-    out = _object(doc, "outputs")
-    outputs = OutputPaths(csv=out.get("csv"), svg=out.get("svg"))
-    return ScenarioConfig(name=name, problem=problem, estimators=estimators,
-                          settings=settings, outputs=outputs)

@@ -216,8 +216,10 @@ def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> Exc
     The step is adjusted to the nearest value dividing T exactly; dt must be
     at most T/10 so the window holds a reasonable number of nodes.
     """
-    if T <= 0 or dt <= 0:
-        raise ConfigurationError("window length and quadrature step must be positive")
+    if not 0 < T < np.inf:
+        raise ConfigurationError(f"window length must be positive and finite, got {T}")
+    if not 0 < dt < np.inf:
+        raise ConfigurationError(f"quadrature step must be positive and finite, got {dt}")
     if dt > T / 10:
         raise ConfigurationError(f"quadrature step {dt} too coarse for window {T}")
     n = int(round(T / dt))

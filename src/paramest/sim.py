@@ -16,6 +16,7 @@ The requested end time is rounded to the nearest whole number of steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +33,35 @@ _STATE_NORM_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Step size, horizon, and trajectory subsampling factor."""
+    """Step size, horizon, and trajectory subsampling factor.
+
+    t_end and dt must be finite numbers (bools are rejected) and are stored
+    as floats; record_every must be an integral number >= 1 and is stored as
+    an int.
+    """
 
     t_end: float
     dt: float = 1e-3
     record_every: int = 10
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "record_every"):
+            value = getattr(self, name)
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (self.dt > 0 and self.t_end > 0 and self.dt <= self.t_end):
             raise ConfigurationError(
                 f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}"
             )
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
+        if not (self.record_every >= 1 and self.record_every.is_integer()):
+            raise ConfigurationError(
+                f"record_every must be an integer >= 1, got {self.record_every:g}")
+        object.__setattr__(self, "record_every", int(self.record_every))
 
 
 def rk4_step(rhs, t: float, state: np.ndarray, dt: float) -> np.ndarray:

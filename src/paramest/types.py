@@ -35,6 +35,15 @@ class Variant(str, Enum):
         return self in (Variant.MGE, Variant.MGE_MRE)
 
 
+def check_name(field: str, value) -> None:
+    """Reject a scenario name or estimator label unfit for an output file name:
+    each must be a non-empty string with no path separator, and not ``..``."""
+    if not isinstance(value, str) or value in ("", "..") or any(c in value for c in "/\\\0"):
+        raise ConfigurationError(
+            f"{field} must be a non-empty string with no path separator and not '..', "
+            f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """A regressor plus the true parameters it multiplies."""
@@ -95,6 +104,8 @@ class EstimatorConfig:
             object.__setattr__(self, "theta_hat_0", th0)
             if th0.ndim != 1 or not np.all(np.isfinite(th0)):
                 raise ConfigurationError("theta_hat_0 must be a finite vector")
+        if self.label is not None:
+            check_name("label", self.label)
 
     @property
     def resolved_label(self) -> str:

@@ -66,9 +66,26 @@ class TestRun:
         ("true_params", {"problem": {"regressor": ["1"], "true_params": ["x"]}}),
         ("theta_hat_0", {"estimators": [{"variant": "GE", "theta_hat_0": ["a", 1]}]}),
         ("tau", {"estimators": [{"variant": "GE", "tau": "1e400"}]}),
+        ("t_end", {"settings": {"t_end": "1e400"}}),
+        ("record_every", {"settings": {"t_end": 1.0, "record_every": "1e400"}}),
+        ("record_every", {"settings": {"t_end": 1.0, "record_every": 2.5}}),
+        ("dt", {"settings": {"t_end": 1.0, "dt": True}}),
+        ("settinsg", {"settinsg": {"t_end": 1.0}}),
+        ("record_evry", {"settings": {"t_end": 1.0, "record_evry": 5}}),
+        ("extra", {"problem": {"regressor": ["1"], "true_params": [1], "extra": 1}}),
+        ("png", {"outputs": {"png": "x.png"}}),
+        ("name", {"name": "../escaped"}),
+        ("name", {"name": 5}),
+        ("outputs.csv", {"outputs": {"csv": 5}}),
+        ("label", {"estimators": [{"variant": "GE", "label": 5}]}),
+        ("label", {"estimators": [{"variant": "GE", "label": "../../x"}]}),
     ], ids=["variant", "tau", "settings", "estimators", "regressor-null",
             "regressor-string", "regressor-component", "true_params",
-            "theta_hat_0", "tau-inf"])
+            "theta_hat_0", "tau-inf", "t_end-inf", "record_every-inf",
+            "record_every-fraction", "dt-bool", "unknown-top-level-key",
+            "unknown-settings-key", "unknown-problem-key", "unknown-outputs-key",
+            "name-escapes-out", "name-number", "outputs-csv-number", "label-number",
+            "label-escapes-out"])
     def test_bad_config_value_exits_1_naming_field(self, tmp_path, capsys, field, patch):
         doc = {
             "problem": {"regressor": ["1"], "true_params": [1]},
@@ -79,10 +96,22 @@ class TestRun:
         cfg = tmp_path / "bad.json"
         # a bare 1e400 in the file, which JSON reads as inf
         cfg.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
-        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--t-end", "inf"], "t_end"),
+        (["--t-end", "nan"], "t_end"),
+        (["--dt", "nan"], "dt"),
+    ])
+    def test_bad_flag_value_exits_1_naming_field(self, tmp_path, capsys, flags, field):
+        assert main(["run", "--scenario", "example1", *flags, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     @pytest.mark.parametrize("regressor", [
         "(" * 3000 + "t" + ")" * 3000,
@@ -131,6 +160,20 @@ class TestCheckPe:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].split() == ["t", "rho"]
         assert len(lines) == 2 + 3  # comment, header, starts 0/1/2
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--window", "inf"], "--window"),
+        (["--window", "nan"], "--window"),
+        (["--window", "6.2832", "--dt", "nan"], "quadrature step"),
+        (["--window", "6.2832", "--step", "nan"], "--step"),
+        (["--window", "6.2832", "--step", "inf"], "--step"),
+        (["--window", "6.2832", "--t-max", "nan"], "--t-max"),
+        (["--window", "6.2832", "--t-max", "inf"], "--t-max"),
+    ])
+    def test_bad_flag_value_exits_1_naming_field(self, capsys, flags, field):
+        assert main(["check-pe", "--scenario", "example1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_coarse_quadrature_rejected(self, capsys):
         code = main(["check-pe", "--scenario", "example1", "--window", "0.005"])

@@ -1,12 +1,12 @@
-import glob
 import json
 import math
-import os
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import paramest
 from paramest.catalog import BUILTIN_NAMES, builtin_problem
 from paramest.errors import ConfigurationError
 from paramest.harness import (
@@ -23,6 +23,51 @@ from paramest.harness import (
 )
 from paramest.sim import SimSettings
 from paramest.types import EstimatorConfig, Trajectory, Variant
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = pathlib.Path(paramest.__file__).parent / "scenarios"
+
+# scenario documents over the schema's keys: each key is left out, holds a
+# value of its expected shape (three times in four), or holds any JSON value;
+# now and then an extra key appears, or the whole document is any JSON value
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=8)
+_NUMBER = st.integers(-2, 20) | st.floats()
+_NAME = st.text(max_size=4) | st.sampled_from(["..", "a/b", "ok"])
+
+
+def _mostly(shape, other):
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else shape)
+
+
+def _over(fields, required=()):
+    known = st.fixed_dictionaries(
+        {k: _mostly(v, _JSON) for k, v in fields.items() if k in required},
+        optional={k: _mostly(v, _JSON) for k, v in fields.items() if k not in required})
+    extra = st.dictionaries(st.text(max_size=6), _JSON, min_size=1, max_size=1)
+    return st.builds(lambda a, b: {**b, **a}, known, _mostly(st.just({}), extra))
+
+
+_ESTIMATOR = _over({
+    "variant": st.sampled_from([v.value for v in Variant]), "tau": _NUMBER, "mu": _NUMBER,
+    "theta_hat_0": st.lists(_NUMBER, max_size=3), "filter_init": _NUMBER, "label": _NAME,
+})
+_PROBLEM = _over({
+    "regressor": st.lists(st.sampled_from(["1", "t", "sin(t)", "1/t", "pow(t,"])
+                          | st.text(max_size=6), max_size=3),
+    "true_params": st.lists(_NUMBER, max_size=3),
+})
+_DOCUMENTS = _mostly(_over({
+    "name": _NAME, "note": st.text(max_size=6),
+    "problem": st.sampled_from(BUILTIN_NAMES + ("nosuch",)) | _PROBLEM,
+    "estimators": st.lists(_ESTIMATOR, max_size=3),
+    "settings": _over({"t_end": _NUMBER, "dt": _NUMBER, "record_every": _NUMBER}),
+    "outputs": _over({"csv": _NAME, "svg": _NAME}),
+}, required=("problem",)), _JSON)
 
 
 def short_scenario(name="example1", t_end=2.0):
@@ -173,6 +218,31 @@ class TestConfigFiles:
         assert [e.variant for e in config.estimators] == [Variant.MRE, Variant.MGE_MRE]
         assert config.estimators[0].tau == 50.0
 
+    def test_builtin_reference_keeps_the_documents_own_keys(self, tmp_path):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps({
+            "note": "coarser step", "problem": "example5",
+            "settings": {"dt": 0.01},
+            "estimators": [{"variant": "GE", "tau": 2.0}],
+        }))
+        config = load_scenario(str(path))
+        assert config.name == "ref"
+        assert config.settings == SimSettings(t_end=100.0, dt=0.01, record_every=10)
+        assert [(e.variant, e.tau) for e in config.estimators] == [(Variant.GE, 2.0)]
+        assert np.array_equal(config.problem.true_params, [-2.0, 2.0])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_DOCUMENTS)
+    def test_any_json_document_loads_or_raises_configuration_error(self, tmp_path, doc):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        try:
+            config = load_scenario(str(path))
+        except ConfigurationError:
+            return
+        assert isinstance(config, ScenarioConfig)
+
     def test_inline_problem_requires_t_end(self, tmp_path):
         path = tmp_path / "no_t.json"
         path.write_text(json.dumps({
@@ -217,21 +287,23 @@ class TestConfigFiles:
         assert config.settings.dt == 0.01
         assert config.settings.t_end == 3.0
 
-    def test_shipped_configs_load(self):
-        # one canonical config ships per builtin scenario and equals the catalog's
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths = glob.glob(os.path.join(here, "configs", "*.json"))
-        names = sorted(os.path.splitext(os.path.basename(p))[0] for p in paths)
-        assert names == sorted(BUILTIN_NAMES)
-        for name in names:
-            got = load_scenario(os.path.join(here, "configs", f"{name}.json"))
-            want = scenario_from_name(name)
-            assert got.name == want.name
-            assert [str(c) for c in got.problem.regressor.components] == \
-                [str(c) for c in want.problem.regressor.components]
-            assert np.array_equal(got.problem.true_params, want.problem.true_params)
-            assert got.estimators == want.estimators
-            assert got.settings == want.settings
+    def test_shipped_scenarios_are_the_builtins(self):
+        # one shipped scenario file per builtin name, each a valid scenario file
+        paths = sorted(SCENARIOS.glob("*.json"))
+        assert [p.stem for p in paths] == list(BUILTIN_NAMES) == \
+            [f"example{i}" for i in range(1, 7)]
+        for path in paths:
+            config = load_scenario(str(path))
+            assert config.name == path.stem
+            assert config.estimators
+
+    def test_package_data_ships_every_scenario_file(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["paramest"]
+        package = SCENARIOS.parent
+        shipped = {p for pattern in globs for p in package.glob(pattern)}
+        assert set(SCENARIOS.iterdir()) <= shipped
 
     def test_scenario_name_validation(self):
         with pytest.raises(ConfigurationError):

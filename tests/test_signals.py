@@ -247,6 +247,9 @@ class TestExcitation:
             excitation_report(spec, 0.0, -1.0, 0.01)
         with pytest.raises(ConfigurationError):
             excitation_report(spec, 0.0, 1.0, 0.5)  # dt > T/10
+        for window, step in ((math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                excitation_report(spec, 0.0, window, step)
 
     @given(
         coeffs=st.lists(

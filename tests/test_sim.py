@@ -32,6 +32,27 @@ class TestSettings:
         with pytest.raises(ConfigurationError):
             SimSettings(t_end=1.0, record_every=0)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("t_end", {"t_end": math.inf}),
+        ("t_end", {"t_end": math.nan}),
+        ("t_end", {"t_end": 10 ** 400}),
+        ("t_end", {"t_end": "1"}),
+        ("dt", {"t_end": 1.0, "dt": True}),
+        ("dt", {"t_end": 1.0, "dt": math.nan}),
+        ("record_every", {"t_end": 1.0, "record_every": math.inf}),
+        ("record_every", {"t_end": 1.0, "record_every": 2.5}),
+        ("record_every", {"t_end": 1.0, "record_every": False}),
+    ])
+    def test_rejects_non_finite_bool_and_fractional_values(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=field):
+            SimSettings(**kwargs)
+
+    def test_stores_floats_and_an_int_stride(self):
+        settings = SimSettings(t_end=3, dt=np.float64(0.5), record_every=2.0)
+        assert (settings.t_end, settings.dt, settings.record_every) == (3.0, 0.5, 2)
+        assert [type(v) for v in (settings.t_end, settings.dt, settings.record_every)] == \
+            [float, float, int]
+
 
 class TestRk4Step:
     def test_zero_rhs_keeps_state(self):
