@@ -22,7 +22,7 @@ from .estimators import ge_closed_form_scalar, mge_gain, mge_mre_rhs
 from .filters import FilterState, filter_law
 from .harness import read_trajectory_csv, run_scenario, scenario_from_name
 from .signals import excitation_report, regressor_from_strings
-from .sim import SimSettings, convergence_time, rk4_step, simulate
+from .sim import SimSettings, convergence_time, rk4_on_grid, simulate
 from .types import EstimationProblem, EstimatorConfig, EstimatorState, Variant
 
 _SEED = 20250810
@@ -146,26 +146,18 @@ def _c3_scalar_closed_form():
 
 
 def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
-    """Independent RK4 run of the modified-gain parameter-error dynamics."""
-    n = int(round(settings.t_end / settings.dt))
-    dt = settings.dt
-    grid = spec.sample(0.5 * dt * np.arange(2 * n + 1))
-    y = theta_err_0.copy()
-    out = [y.copy()]
-    rec = settings.record_every
+    """RK4 run of the modified-gain parameter-error dynamics
+    d(err)/dt = -k(w) w^T err, a law written here from ``mge_gain`` alone, so
+    it is independent of the estimator law that ``simulate`` integrates."""
+    grid = spec.sample(settings.half_step_times)
+    out = []
 
-    def f(v, w):
+    def f(v, i):
+        w = grid[i]
         return -mge_gain(w, tau, mu) * (w @ v)
 
-    for k in range(n):
-        w0, wm, w1 = grid[2 * k], grid[2 * k + 1], grid[2 * k + 2]
-        k1 = f(y, w0)
-        k2 = f(y + 0.5 * dt * k1, wm)
-        k3 = f(y + 0.5 * dt * k2, wm)
-        k4 = f(y + dt * k3, w1)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (k + 1) % rec == 0 or k + 1 == n:
-            out.append(y.copy())
+    rk4_on_grid(f, theta_err_0, settings.dt, settings.record_steps,
+                lambda slot, k, v: out.append(v))
     return np.array(out)
 
 
@@ -192,34 +184,29 @@ def _c5_filter():
     # constant regressor against the closed-form first-order response
     w = np.array([1.0, 0.5])
     dt = 1e-3
-    y = np.zeros(4)
-    rhs = lambda t, v: rate(v.reshape(2, 2), w).ravel()
-    for k in range(1000):
-        y = rk4_step(rhs, k * dt, y, dt)
+    om = rk4_on_grid(lambda om, i: rate(om, w), np.zeros((2, 2)), dt, [1000],
+                     lambda slot, k, om: None)
     target = (1.0 - math.exp(-1.0)) * np.outer(w, w)
-    d = float(np.max(np.abs(y.reshape(2, 2) - target)))
+    d = float(np.max(np.abs(om - target)))
     if d >= 1e-8:
         return False, f"constant-regressor filter off by {d:.2e} at t=1 (tol 1e-8)"
 
     # symmetry / positive semidefiniteness along every builtin scenario
+    settings = SimSettings(t_end=30.0, dt=dt, record_every=1000)
     worst_asym, worst_eig = 0.0, 0.0
+
+    def check(slot, k, om):
+        nonlocal worst_asym, worst_eig
+        scale = max(1.0, float(np.max(np.abs(om))))
+        worst_asym = max(worst_asym, float(np.max(np.abs(om - om.T))) / scale)
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(om)[0]))
+
     for name in catalog.BUILTIN_NAMES:
         spec, _, _, _ = catalog.builtin(name)
         q = spec.dimension
-        n = 30000
-        grid = spec.sample(0.5 * dt * np.arange(2 * n + 1))
-        om = np.zeros((q, q))
-        for k in range(n):
-            w0, wm, w1 = grid[2 * k], grid[2 * k + 1], grid[2 * k + 2]
-            k1 = rate(om, w0)
-            k2 = rate(om + 0.5 * dt * k1, wm)
-            k3 = rate(om + 0.5 * dt * k2, wm)
-            k4 = rate(om + dt * k3, w1)
-            om = om + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            if (k + 1) % 1000 == 0:
-                scale = max(1.0, float(np.max(np.abs(om))))
-                worst_asym = max(worst_asym, float(np.max(np.abs(om - om.T))) / scale)
-                worst_eig = min(worst_eig, float(np.linalg.eigvalsh(om)[0]))
+        grid = spec.sample(settings.half_step_times)
+        rk4_on_grid(lambda om, i: rate(om, grid[i]), np.zeros((q, q)), dt,
+                    settings.record_steps, check)
         if worst_asym > 1e-12 or worst_eig < -1e-9:
             return False, (f"{name}: asymmetry {worst_asym:.2e} or min eig "
                            f"{worst_eig:.2e} out of tolerance")
@@ -298,10 +285,9 @@ def _c10_drem_monotone():
 
 
 def _rk4_global_error(dt: float) -> float:
-    y = np.array([1.0])
-    n = int(round(1.0 / dt))
-    for k in range(n):
-        y = rk4_step(lambda t, v: -v, k * dt, y, dt)
+    """Error at t = 1 of the production loop on dy/dt = -y, y(0) = 1."""
+    n = SimSettings(t_end=1.0, dt=dt).n_steps
+    y = rk4_on_grid(lambda v, i: -v, np.array([1.0]), dt, [n], lambda slot, k, v: None)
     return abs(float(y[0]) - math.exp(-1.0))
 
 

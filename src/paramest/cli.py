@@ -18,7 +18,7 @@ import sys
 
 from . import catalog, harness, svgplot
 from .errors import ConfigurationError, DivergenceError, SignalEvalError
-from .signals import excitation_sweep
+from .signals import MAX_STEPS, excitation_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +117,10 @@ def _cmd_check_pe(args) -> int:
         t_max = max(catalog.builtin_t_end(args.scenario) - args.window, 0.0)
     if not math.isfinite(t_max):
         raise ConfigurationError(f"--t-max must be finite, got {t_max}")
+    if t_max / args.step > MAX_STEPS:
+        raise ConfigurationError(
+            f"--t-max {t_max:g} with --step {args.step:g} gives {t_max / args.step:.3g} "
+            f"windows, more than the limit of {MAX_STEPS}")
     starts = [i * args.step for i in range(int(math.floor(t_max / args.step)) + 1)]
     table = excitation_sweep(spec, starts, args.window, args.dt)
     print(f"# {args.scenario}: min eigenvalue of the Gram integral over "

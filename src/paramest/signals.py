@@ -27,6 +27,10 @@ import numpy as np
 
 from .errors import ConfigurationError, SignalEvalError, SignalParseError
 
+# Most integration steps, quadrature intervals or excitation windows one call
+# may ask for: 50x the longest horizon any test or benchmark runs (100 s at
+# dt = 5e-4), while a half-step grid of that many steps still fits in memory.
+MAX_STEPS = 10_000_000
 _DENOM_FLOOR = 1e-300
 _ARITY = {"sin": 1, "cos": 1, "exp": 1, "pow": 2}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
@@ -214,7 +218,8 @@ def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> Exc
     """Integrate the Gram matrix of w over [t, t+T] by composite trapezoid.
 
     The step is adjusted to the nearest value dividing T exactly; dt must be
-    at most T/10 so the window holds a reasonable number of nodes.
+    at most T/10 so the window holds a reasonable number of nodes, and at
+    least T/MAX_STEPS so it holds no more intervals than the limit.
     """
     if not 0 < T < np.inf:
         raise ConfigurationError(f"window length must be positive and finite, got {T}")
@@ -222,6 +227,10 @@ def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> Exc
         raise ConfigurationError(f"quadrature step must be positive and finite, got {dt}")
     if dt > T / 10:
         raise ConfigurationError(f"quadrature step {dt} too coarse for window {T}")
+    if T / dt > MAX_STEPS + 0.5:
+        raise ConfigurationError(
+            f"quadrature step {dt:g} over window {T:g} needs {T / dt:.3g} intervals, "
+            f"more than the limit of {MAX_STEPS}")
     n = int(round(T / dt))
     h = T / n
     ts = t + h * np.arange(n + 1)

@@ -4,15 +4,16 @@ The estimator ODEs are smooth and short-horizon, so a classical fixed-step
 fourth-order Runge-Kutta scheme is used everywhere: runs are deterministic,
 the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
-constant over a step; ``simulate`` pre-samples them on the half-step grid
-once per run and then advances with the same Butcher tableau as ``rk4_step``.
-It integrates the laws of ``estimators.LAWS`` and ``filters.filter_law``.
+constant over a step. ``rk4_on_grid`` is the one integration loop, over
+signals pre-sampled on ``SimSettings.half_step_times``; ``simulate`` and the
+acceptance criteria integrate through it, and ``rk4_step`` is the independent
+one-step reference the tests pin it to. ``simulate`` integrates the laws of
+``estimators.LAWS`` and ``filters.filter_law``.
 
 Divergence is detected at recording points: any non-finite state entry or a
 state norm above 1e12 aborts the run with the offending time and component.
 Error norms and manifold diagnostics are computed from the recorded
 estimates after the loop.
-The requested end time is rounded to the nearest whole number of steps.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .estimators import LAWS, manifold_residual, storage
 # bench/tracing.py counts calls to these law helpers by wrapping them here
 from .estimators import adjugate, det, mge_gain  # noqa: F401
 from .filters import filter_law
+from .signals import MAX_STEPS
 from .types import EstimationProblem, EstimatorConfig, Trajectory
 
 _STATE_NORM_LIMIT = 1e12
@@ -37,7 +39,7 @@ class SimSettings:
 
     t_end and dt must be finite numbers (bools are rejected) and are stored
     as floats; record_every must be an integral number >= 1 and is stored as
-    an int.
+    an int. t_end / dt may be at most ``signals.MAX_STEPS`` steps.
     """
 
     t_end: float
@@ -62,6 +64,26 @@ class SimSettings:
             raise ConfigurationError(
                 f"record_every must be an integer >= 1, got {self.record_every:g}")
         object.__setattr__(self, "record_every", int(self.record_every))
+        steps = self.t_end / self.dt
+        if steps > MAX_STEPS + 0.5:
+            raise ConfigurationError(
+                f"t_end={self.t_end:g} with dt={self.dt:g} needs {steps:.3g} steps, "
+                f"more than the limit of {MAX_STEPS}")
+
+    @property
+    def n_steps(self) -> int:
+        """t_end / dt rounded to a whole number of steps (>= 1 as dt <= t_end)."""
+        return int(round(self.t_end / self.dt))
+
+    @property
+    def record_steps(self) -> list[int]:
+        """Step indices to record: every record_every-th from 0, plus the last."""
+        return list(range(0, self.n_steps, self.record_every)) + [self.n_steps]
+
+    @property
+    def half_step_times(self) -> np.ndarray:
+        """The grid ``rk4_on_grid`` indexes: entry 2k is t_k, 2k+1 is t_k + dt/2."""
+        return 0.5 * self.dt * np.arange(2 * self.n_steps + 1)
 
 
 def rk4_step(rhs, t: float, state: np.ndarray, dt: float) -> np.ndarray:
@@ -85,25 +107,42 @@ def _checked_stage(value, t: float) -> np.ndarray:
     return value
 
 
+def rk4_on_grid(f, y, dt: float, record_ks, record):
+    """Classical RK4 on ``dy/dt = f(y, i)``, ``i`` indexing the half-step grid
+    (step k evaluates i = 2k, 2k+1 twice, 2k+2). Calls ``record(slot, k, y)``
+    after each step k of the increasing ``record_ks`` (k = 0 is the initial
+    state) and stops after the last one, or when ``record`` raises.
+    Returns the final state.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    done = 0
+    for slot, k in enumerate(record_ks):
+        for i in range(2 * done, 2 * k, 2):
+            k1 = f(y, i)
+            k2 = f(y + half * k1, i + 1)
+            k3 = f(y + half * k2, i + 1)
+            k4 = f(y + dt * k3, i + 2)
+            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        record(slot, k, y)
+        done = k
+    return y
+
+
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
              settings: SimSettings) -> Trajectory:
     """Integrate one estimator against one problem and record its trajectory.
 
-    Rows are recorded every ``record_every`` steps, always including t = 0
+    Rows are recorded at ``settings.record_steps``, always including t = 0
     and the final step. Deterministic: identical inputs give identical
     trajectories.
     """
     q = problem.dimension
     state0 = config.initial_state(q)
     variant = config.variant
-
-    n_steps = int(round(settings.t_end / settings.dt))
-    n_steps = max(n_steps, 1)
     dt = settings.dt
 
-    # signals on the half-step grid: index 2k is t_k, 2k+1 is t_k + dt/2
-    t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
-    w_grid = problem.regressor.sample(t_half)
+    w_grid = problem.regressor.sample(settings.half_step_times)
     g_grid = w_grid @ problem.true_params
 
     tau, mu = config.tau, config.mu
@@ -115,19 +154,17 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
                             state0.filter.g_ext])
         q2 = q * q
 
-        def f(y, w, g):
+        def f(y, i):
             th, om, ge = y[:q], y[q:q + q2].reshape(q, q), y[q + q2:]
-            d_om, d_g = filter_law(om, ge, w, g)
+            d_om, d_g = filter_law(om, ge, w_grid[i], g_grid[i])
             return np.concatenate([law(th, om, ge, tau, mu), d_om.ravel(), d_g])
     else:
         y = state0.theta_hat.copy()
 
-        def f(y, w, g):
-            return law(y, w, g, tau, mu)
+        def f(y, i):
+            return law(y, w_grid[i], g_grid[i], tau, mu)
 
-    record_ks = list(range(0, n_steps + 1, settings.record_every))
-    if record_ks[-1] != n_steps:
-        record_ks.append(n_steps)
+    record_ks = settings.record_steps
     n_rec = len(record_ks)
     estimates = np.empty((n_rec, q))
 
@@ -143,31 +180,7 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
             )
         estimates[slot] = yk[:q]
 
-    sixth = dt / 6.0
-    half = 0.5 * dt
-
-    slot = 0
-    record(slot, 0, y)
-    slot += 1
-    next_rec = record_ks[slot]
-
-    for k in range(n_steps):
-        i = 2 * k
-        w0 = w_grid[i]
-        wm = w_grid[i + 1]
-        w1 = w_grid[i + 2]
-        g0 = g_grid[i]
-        gm = g_grid[i + 1]
-        g1 = g_grid[i + 2]
-        k1 = f(y, w0, g0)
-        k2 = f(y + half * k1, wm, gm)
-        k3 = f(y + half * k2, wm, gm)
-        k4 = f(y + dt * k3, w1, g1)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if k + 1 == next_rec:
-            record(slot, k + 1, y)
-            slot += 1
-            next_rec = record_ks[slot] if slot < n_rec else -1
+    rk4_on_grid(f, y, dt, record_ks, record)
 
     terr = problem.true_params - estimates
     # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i

@@ -107,11 +107,14 @@ class TestRun:
         (["--t-end", "inf"], "t_end"),
         (["--t-end", "nan"], "t_end"),
         (["--dt", "nan"], "dt"),
+        (["--t-end", "1e8"], "t_end"),
+        (["--t-end", "1e300"], "t_end"),
     ])
     def test_bad_flag_value_exits_1_naming_field(self, tmp_path, capsys, flags, field):
         assert main(["run", "--scenario", "example1", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("regressor", [
         "(" * 3000 + "t" + ")" * 3000,
@@ -169,11 +172,16 @@ class TestCheckPe:
         (["--window", "6.2832", "--step", "inf"], "--step"),
         (["--window", "6.2832", "--t-max", "nan"], "--t-max"),
         (["--window", "6.2832", "--t-max", "inf"], "--t-max"),
+        (["--window", "6", "--t-max", "1e300", "--step", "1e-300"], "--step"),
+        (["--window", "6", "--step", "1e-12"], "--step"),
+        (["--window", "6", "--dt", "1e-300"], "quadrature step"),
+        (["--window", "6", "--dt", "1e-9"], "quadrature step"),
     ])
     def test_bad_flag_value_exits_1_naming_field(self, capsys, flags, field):
         assert main(["check-pe", "--scenario", "example1", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
 
     def test_coarse_quadrature_rejected(self, capsys):
         code = main(["check-pe", "--scenario", "example1", "--window", "0.005"])

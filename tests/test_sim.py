@@ -7,8 +7,8 @@ from paramest.catalog import BUILTIN_NAMES, builtin, builtin_estimators, builtin
 from paramest.errors import ConfigurationError, DivergenceError
 from paramest.estimators import adjugate, det, ge_rhs, mge_mre_rhs, mge_rhs, mre_rhs
 from paramest.filters import FilterState, filter_rhs
-from paramest.sim import SimSettings, convergence_time, rk4_step, simulate
-from paramest.signals import regressor_from_strings
+from paramest.signals import MAX_STEPS, regressor_from_strings
+from paramest.sim import SimSettings, convergence_time, rk4_on_grid, rk4_step, simulate
 from paramest.types import (
     EstimationProblem,
     EstimatorConfig,
@@ -47,6 +47,24 @@ class TestSettings:
         with pytest.raises(ConfigurationError, match=field):
             SimSettings(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"t_end": 1e8},
+        {"t_end": 1e300, "dt": 1e-300},
+    ], ids=["too-many-steps", "step-count-overflows"])
+    def test_rejects_more_steps_than_the_limit(self, kwargs):
+        with pytest.raises(ConfigurationError, match=r"t_end=.* dt=.* steps"):
+            SimSettings(**kwargs)
+
+    def test_step_count_and_recorded_steps(self):
+        settings = SimSettings(t_end=0.1, dt=1e-3, record_every=7)
+        assert settings.n_steps == 100
+        assert SimSettings(t_end=MAX_STEPS * 1e-3).n_steps == MAX_STEPS
+        assert settings.record_steps == list(range(0, 99, 7)) + [100]
+        assert SimSettings(t_end=0.1, dt=1e-3, record_every=10).record_steps[-2:] == [90, 100]
+        assert SimSettings(t_end=1.0, dt=0.4).record_steps == [0, 2]  # 2.5 rounds to 2
+        assert np.array_equal(SimSettings(t_end=1.0, dt=0.5).half_step_times,
+                              [0.0, 0.25, 0.5, 0.75, 1.0])
+
     def test_stores_floats_and_an_int_stride(self):
         settings = SimSettings(t_end=3, dt=np.float64(0.5), record_every=2.0)
         assert (settings.t_end, settings.dt, settings.record_every) == (3.0, 0.5, 2)
@@ -84,6 +102,44 @@ class TestRk4Step:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigurationError):
             rk4_step(lambda t, v: v, 0.0, np.array([1.0]), 0.0)
+
+
+class TestRk4OnGrid:
+    def test_records_exactly_the_requested_steps(self):
+        calls, records = [], []
+
+        def f(y, i):
+            calls.append(i)
+            return -y
+
+        rk4_on_grid(f, np.array([1.0]), 0.1, [0, 3, 6, 7],
+                    lambda slot, k, y: records.append((slot, k)))
+        assert records == [(0, 0), (1, 3), (2, 6), (3, 7)]
+        assert calls == [i for k in range(7) for i in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
+
+    def test_matches_repeated_rk4_step(self):
+        dt, states = 0.01, []
+        rk4_on_grid(lambda y, i: -y, np.array([1.0, -2.0]), dt, range(101),
+                    lambda slot, k, y: states.append(y))
+        y = np.array([1.0, -2.0])
+        for k in range(101):
+            assert np.max(np.abs(states[k] - y)) <= 1e-15
+            y = rk4_step(lambda t, v: -v, k * dt, y, dt)
+
+    def test_raising_record_stops_the_loop(self):
+        calls = []
+
+        def f(y, i):
+            calls.append(i)
+            return -y
+
+        def record(slot, k, y):
+            if k == 5:
+                raise DivergenceError("stop")
+
+        with pytest.raises(DivergenceError):
+            rk4_on_grid(f, np.array([1.0]), 0.1, range(0, 11), record)
+        assert len(calls) == 4 * 5 and max(calls) == 10
 
 
 class TestSimulate:
