@@ -115,8 +115,8 @@ def _cmd_check_pe(args) -> int:
     t_max = args.t_max
     if t_max is None:
         t_max = max(catalog.builtin_t_end(args.scenario) - args.window, 0.0)
-    if not math.isfinite(t_max):
-        raise ConfigurationError(f"--t-max must be finite, got {t_max}")
+    if not 0 <= t_max < math.inf:
+        raise ConfigurationError(f"--t-max must be finite and >= 0, got {t_max}")
     if t_max / args.step > MAX_STEPS:
         raise ConfigurationError(
             f"--t-max {t_max:g} with --step {args.step:g} gives {t_max / args.step:.3g} "

@@ -20,6 +20,10 @@ literature (determinant and adjugate of the extended regressor matrix).
 (a, b) = (w, g) for GE/MGE and (Omega, G) for MRE/MGE_MRE/DREM; ``simulate``
 integrates these, and the ``*_rhs`` functions apply them to ``EstimatorState``.
 
+The laws, ``mge_gain``, ``det`` and ``adjugate`` take leading batch axes that
+broadcast against each other (theta_hat, w, G ``[..., q]``; g ``[...]``; Omega
+``[..., q, q]``); each leading index gets exactly its one-state numbers.
+
 Every function here is pure: state in, derivative out.
 """
 from __future__ import annotations
@@ -36,40 +40,54 @@ def mge_gain(omega: np.ndarray, tau: float, mu: float) -> np.ndarray:
 
     Rows 1..q-1 keep the gradient gain tau*w_i; the last row carries the
     manifold-coupled gain. For q = 1 no last-row modification is definable
-    and the gradient gain is returned unchanged.
+    and the gradient gain is returned unchanged. ``omega`` is ``[..., q]``.
     """
     omega = np.asarray(omega, dtype=float)
-    q = omega.shape[0]
+    q = omega.shape[-1]
     if q == 0:
         raise ConfigurationError("regressor dimension must be at least 1")
     k = tau * omega
     if q >= 2:
-        k[-1] = 2.0 * tau * omega[-1] + tau * float(np.sum(omega[1:-1])) \
-            - (q - 1) * mu * tau * omega[0]
+        # .T puts the component axis first: w[j] is entry j at every leading index
+        w = omega.T
+        k.T[-1] = 2.0 * tau * w[-1] + tau * np.add.reduce(w[1:-1]) \
+            - (q - 1) * mu * tau * w[0]
     return k
 
 
+# Contractions are matmuls over a trailing unit axis: for one state they round
+# exactly as w @ theta_hat and Omega @ theta_hat (np.sum and einsum do not).
+# [()] leaves one state's error a numpy scalar, much cheaper than a 0-d array.
+def _prediction_error(theta_hat, w, g):  # g - w^T theta_hat: [...]
+    return g - (w[..., None, :] @ theta_hat[..., None])[..., 0, 0][()]
+
+
+def _residual(theta_hat, omega_ext, g_ext):  # G - Omega theta_hat: [..., q]
+    return g_ext - (omega_ext @ theta_hat[..., None])[..., 0]
+
+
 def _ge(theta_hat, w, g, tau, mu):
-    return (tau * (g - w @ theta_hat)) * w
+    return w * (tau * _prediction_error(theta_hat, w, g))[..., None]
 
 
 def _mge(theta_hat, w, g, tau, mu):
-    return mge_gain(w, tau, mu) * (g - w @ theta_hat)
+    return mge_gain(w, tau, mu) * _prediction_error(theta_hat, w, g)[..., None]
 
 
 def _mre(theta_hat, omega_ext, g_ext, tau, mu):
-    return tau * (g_ext - omega_ext @ theta_hat)
+    return tau * _residual(theta_hat, omega_ext, g_ext)
 
 
 def _mge_mre(theta_hat, omega_ext, g_ext, tau, mu):
-    if theta_hat.shape[0] < 2:
+    if theta_hat.shape[-1] < 2:
         raise ConfigurationError("modified filtered update needs dimension >= 2")
-    return mge_gain(g_ext - omega_ext @ theta_hat, tau, mu)
+    return mge_gain(_residual(theta_hat, omega_ext, g_ext), tau, mu)
 
 
 def _drem(theta_hat, omega_ext, g_ext, tau, mu):
-    delta = det(omega_ext)
-    return tau * delta * (adjugate(omega_ext) @ g_ext - delta * theta_hat)
+    delta, adj = _det_adjugate(omega_ext)
+    return (tau * delta)[..., None] * ((adj @ g_ext[..., None])[..., 0]
+                                       - delta[..., None] * theta_hat)
 
 
 LAWS = {Variant.GE: _ge, Variant.MGE: _mge, Variant.MRE: _mre,
@@ -158,47 +176,43 @@ def ge_closed_form_scalar(omega: RegressorSpec, tau: float, theta_err_0: float,
 
 
 # --------------------------------------------------------------------------
-# Small dense determinant / adjugate helpers (closed form for q <= 3, cofactor
-# expansion above; the extended regressor matrices here are tiny)
+# Determinant and adjugate over leading axes in one pass, as DREM needs both:
+# closed forms for q <= 3 unpacked by one reshaped transpose (m[..., i, j] costs
+# 2-4x), LU determinants of m and its stacked minors above. The adjugate is
+# C-contiguous: a matmul rounds a stack as its single matrices only so.
 # --------------------------------------------------------------------------
 
-def det(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    q = m.shape[0]
-    if q == 1:
-        return float(m[0, 0])
-    if q == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if q == 3:
-        return float(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    return float(np.linalg.det(m))
+def det(m: np.ndarray) -> np.ndarray:
+    """Determinant of ``m`` ``[..., q, q]``: ``[...]``, np.float64 for one matrix."""
+    return _det_adjugate(m)[0]
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
-    """Transpose of the cofactor matrix; adj(m) @ m = det(m) * I."""
+    """Transpose of the cofactor matrix of ``m`` ``[..., q, q]``;
+    adj(m) @ m = det(m) * I for every leading index."""
+    return _det_adjugate(m)[1]
+
+
+def _det_adjugate(m: np.ndarray):
+    """(det(m), adjugate(m)) of ``m`` ``[..., q, q]``."""
     m = np.asarray(m, dtype=float)
-    q = m.shape[0]
+    q = m.shape[-1]
     if q == 1:
-        return np.ones((1, 1))
+        return m[..., 0, 0][()], np.ones_like(m)
     if q == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    if q == 3:
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        return np.array([
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ])
-    cof = np.empty_like(m)
-    for i in range(q):
-        rows = [k for k in range(q) if k != i]
-        for j in range(q):
-            cols = [k for k in range(q) if k != j]
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(m[np.ix_(rows, cols)])
-    return cof.T
+        a, b, c, d = m.reshape(*m.shape[:-2], 4).T
+        delta, adj = a * d - b * c, (d, -b, -c, a)
+    elif q == 3:
+        a, b, c, d, e, f, g, h, i = m.reshape(*m.shape[:-2], 9).T
+        adj = (e * i - f * h, c * h - b * i, b * f - c * e,
+               f * g - d * i, a * i - c * g, c * d - a * f,
+               d * h - e * g, b * g - a * h, a * e - b * d)
+        delta = a * adj[0] - b * (d * i - f * g) + c * adj[6]
+    else:
+        # keep[i] lists the indices other than i; minors[..., i, j] drops row i, column j
+        keep = np.array([[k for k in range(q) if k != i] for i in range(q)])
+        minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
+        sign = (-1.0) ** np.add.outer(np.arange(q), np.arange(q))
+        cofactors = np.ascontiguousarray(sign * np.linalg.det(minors))
+        return np.linalg.det(m), cofactors.swapaxes(-1, -2)
+    return delta.T, np.ascontiguousarray(np.array(adj).T).reshape(m.shape)

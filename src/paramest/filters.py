@@ -11,8 +11,8 @@ Omega inherits symmetry from its source and, when started at zero, stays
 positive semidefinite because it is a positively weighted integral of rank-1
 outer products. The filter pole is fixed at 1; only this filter is supported.
 
-``filter_law`` is the one array form of this derivative; ``sim.simulate``
-integrates it and ``filter_rhs`` applies it to a ``FilterState``.
+``filter_law`` is the one array form of this derivative (over leading axes);
+``sim.simulate`` integrates it and ``filter_rhs`` applies it to a ``FilterState``.
 """
 from __future__ import annotations
 
@@ -48,9 +48,11 @@ class FilterState:
         return FilterState(self.omega_ext.copy(), self.g_ext.copy())
 
 
-def filter_law(omega_ext: np.ndarray, g_ext: np.ndarray, w: np.ndarray, g: float):
-    """(dOmega/dt, dG/dt) = (w w^T - Omega, w g - G) for instantaneous (w, g)."""
-    return np.outer(w, w) - omega_ext, w * g - g_ext
+def filter_law(omega_ext: np.ndarray, g_ext: np.ndarray, w: np.ndarray, g):
+    """(dOmega/dt, dG/dt) = (w w^T - Omega, w g - G) for instantaneous (w, g),
+    with Omega ``[..., q, q]``, G and w ``[..., q]`` and g ``[...]``."""
+    return (w[..., :, None] * w[..., None, :] - omega_ext,
+            w * np.asarray(g)[..., None] - g_ext)
 
 
 def filter_rhs(state: FilterState, omega: np.ndarray, g: float) -> FilterState:

@@ -176,6 +176,7 @@ class TestCheckPe:
         (["--window", "6", "--step", "1e-12"], "--step"),
         (["--window", "6", "--dt", "1e-300"], "quadrature step"),
         (["--window", "6", "--dt", "1e-9"], "quadrature step"),
+        (["--window", "6", "--t-max", "-5"], "--t-max"),
     ])
     def test_bad_flag_value_exits_1_naming_field(self, capsys, flags, field):
         assert main(["check-pe", "--scenario", "example1", *flags]) == 1

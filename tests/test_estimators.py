@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from paramest.errors import ConfigurationError, UnsupportedDimensionError
 from paramest.estimators import (
+    LAWS,
     adjugate,
     det,
     drem_rhs,
@@ -18,9 +19,9 @@ from paramest.estimators import (
     mre_rhs,
     storage,
 )
-from paramest.filters import FilterState
+from paramest.filters import FilterState, filter_law
 from paramest.signals import regressor_from_strings
-from paramest.types import EstimatorState
+from paramest.types import EstimatorState, Variant
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 gains = st.floats(0.05, 20.0)
@@ -182,11 +183,92 @@ class TestDrem:
         assert np.allclose(got, expected)
         assert np.allclose(got, [-8.0, 8.0])
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_det_and_adjugate_identities(self, q, rng):
-        m = rng.normal(size=(q, q))
-        assert det(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-12)
-        assert np.allclose(adjugate(m) @ m, det(m) * np.eye(q), atol=1e-10)
+        for m in (rng.normal(size=(q, q)), rng.normal(size=(2, 3, q, q))):
+            d = det(m)
+            assert d.shape == m.shape[:-2]
+            assert np.allclose(d, np.linalg.det(m), rtol=1e-10, atol=1e-12)
+            assert np.allclose(adjugate(m) @ m, d[..., None, None] * np.eye(q), atol=1e-10)
+        assert isinstance(det(m[0, 0]), np.float64)
+
+
+def _draw(rng, shape):
+    """Normal entries scaled by 10^-3..10^3, so rounding differences show."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+def _law_inputs(variant, rng, lead, q):
+    """(a, b) of one law: (w, g) for GE/MGE, (Omega, G) for the filtered variants."""
+    if variant in (Variant.GE, Variant.MGE):
+        return _draw(rng, lead + (q,)), _draw(rng, lead)
+    return _draw(rng, lead + (q, q)), _draw(rng, lead + (q,))
+
+
+LEADS = ((), (3,), (2, 3))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestLeadingAxes:
+    """Every law over a stack equals the loop of its one-state calls, bit for bit."""
+
+    @staticmethod
+    def assert_stack_is_loop(stacked, lead, one):
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(stacked[idx], one(idx)), idx
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @given(q=st.integers(1, 5), seed=SEEDS, tau=gains, mu=st.floats(-1.5, 1.5),
+           batched=st.sampled_from(["all", "a_b", "theta"]))
+    def test_law_on_a_stack_is_the_loop(self, variant, q, seed, tau, mu, batched):
+        """batched names the stacked inputs: all three, only (a, b) or only theta."""
+        if variant is Variant.MGE_MRE and q < 2:
+            q = 2
+        rng = np.random.default_rng(seed)
+        law = LAWS[variant]
+        for lead in LEADS:
+            a, b = _law_inputs(variant, rng, lead if batched != "theta" else (), q)
+            theta = _draw(rng, (lead if batched != "a_b" else ()) + (q,))
+            stacked = law(theta, a, b, tau, mu)
+            assert stacked.shape == lead + (q,)
+            self.assert_stack_is_loop(stacked, lead, lambda idx: law(
+                theta if batched == "a_b" else theta[idx],
+                *((a, b) if batched == "theta" else (a[idx], b[idx])), tau, mu))
+
+    @given(q=st.integers(1, 5), seed=SEEDS, tau=gains, mu=st.floats(-1.5, 1.5))
+    def test_helpers_on_a_stack_are_the_loop(self, q, seed, tau, mu):
+        rng = np.random.default_rng(seed)
+        for lead in LEADS:
+            w, g = _draw(rng, lead + (q,)), _draw(rng, lead)
+            m, v = _draw(rng, lead + (q, q)), _draw(rng, lead + (q,))
+            self.assert_stack_is_loop(mge_gain(w, tau, mu), lead,
+                                      lambda idx: mge_gain(w[idx], tau, mu))
+            for fn in (det, adjugate):
+                self.assert_stack_is_loop(fn(m), lead, lambda idx: fn(m[idx]))
+            d_omega, d_g = filter_law(m, v, w, g)
+            for stacked, part in ((d_omega, 0), (d_g, 1)):
+                self.assert_stack_is_loop(stacked, lead, lambda idx: filter_law(
+                    m[idx], v[idx], w[idx], g[idx])[part])
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @given(lead=st.sampled_from(LEADS), q=st.integers(1, 5), seed=SEEDS, tau=gains,
+           mu=st.floats(-1.5, 1.5))
+    def test_law_is_affine_in_theta(self, variant, lead, q, seed, tau, mu):
+        """law(theta, a, b) = A theta + c with c = law(0, a, b) and column j of A
+        law(e_j, a, 0): the form an affine-map integrator builds from these laws."""
+        if variant is Variant.MGE_MRE and q < 2:
+            q = 2
+        rng = np.random.default_rng(seed)
+        a, b = _law_inputs(variant, rng, lead, q)
+        theta = _draw(rng, lead + (q,))
+        law = LAWS[variant]
+        c = law(np.zeros(q), a, b, tau, mu)
+        A = np.stack([law(e, a, np.zeros_like(b), tau, mu) for e in np.eye(q)], axis=-1)
+        # per state, the largest of the terms A_ij theta_j and c_i
+        scale = np.maximum((np.abs(A) * np.abs(theta)[..., None, :]).max(axis=(-2, -1)),
+                           np.abs(c).max(axis=-1))
+        gap = np.abs(law(theta, a, b, tau, mu) - ((A @ theta[..., None])[..., 0] + c))
+        assert np.all(gap.max(axis=-1) <= 1e-12 * scale)
 
 
 class TestManifoldDiagnostics:
