@@ -19,10 +19,17 @@ import numpy as np
 
 from . import catalog
 from .estimators import ge_closed_form_scalar, mge_gain, mge_mre_rhs
-from .filters import FilterState, filter_law
+from .filters import FilterState
 from .harness import read_trajectory_csv, run_scenario, scenario_from_name
 from .signals import excitation_report, regressor_from_strings
-from .sim import SimSettings, convergence_time, rk4_on_grid, simulate
+from .sim import (
+    SimSettings,
+    convergence_time,
+    filter_stages,
+    rk4_on_grid,
+    simulate,
+    stage_index,
+)
 from .types import EstimationProblem, EstimatorConfig, EstimatorState, Variant
 
 _SEED = 20250810
@@ -149,11 +156,11 @@ def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
     """RK4 run of the modified-gain parameter-error dynamics
     d(err)/dt = -k(w) w^T err, a law written here from ``mge_gain`` alone, so
     it is independent of the estimator law that ``simulate`` integrates."""
-    grid = spec.sample(settings.half_step_times)
+    stages = spec.sample(settings.half_step_times())[stage_index(settings.n_steps)]
     out = []
 
     def f(v, i):
-        w = grid[i]
+        w = stages[i]
         return -mge_gain(w, tau, mu) * (w @ v)
 
     rk4_on_grid(f, theta_err_0, settings.dt, settings.record_steps,
@@ -177,36 +184,36 @@ def _c4_duality():
     return True, f"examples 1-3, worst |estimate + error - theta| = {worst:.2e} (tol 1e-9)"
 
 
-def _c5_filter():
-    def rate(om, w):  # dOmega/dt of the filter law; G plays no part here
-        return filter_law(om, 0.0, w, 0.0)[0]
+def _filter_states(spec, settings):
+    """Omega after every step of the production filter run from zero (the one
+    ``simulate`` reads), over ``spec`` with g = 0."""
+    q = spec.dimension
+    problem = EstimationProblem(spec, np.zeros(q))
+    states = []
+    for _, omega_ext, _, end in filter_stages(problem, FilterState.uniform(q), settings):
+        states.append(omega_ext[:, 0])
+    return np.concatenate(states + [end.omega_ext[None]])
 
+
+def _c5_filter():
     # constant regressor against the closed-form first-order response
     w = np.array([1.0, 0.5])
     dt = 1e-3
-    om = rk4_on_grid(lambda om, i: rate(om, w), np.zeros((2, 2)), dt, [1000],
-                     lambda slot, k, om: None)
+    om = _filter_states(regressor_from_strings(["1", "0.5"]), SimSettings(t_end=1.0, dt=dt))[-1]
     target = (1.0 - math.exp(-1.0)) * np.outer(w, w)
     d = float(np.max(np.abs(om - target)))
     if d >= 1e-8:
         return False, f"constant-regressor filter off by {d:.2e} at t=1 (tol 1e-8)"
 
-    # symmetry / positive semidefiniteness along every builtin scenario
-    settings = SimSettings(t_end=30.0, dt=dt, record_every=1000)
+    # symmetry / positive semidefiniteness after every step along every builtin
+    settings = SimSettings(t_end=30.0, dt=dt)
     worst_asym, worst_eig = 0.0, 0.0
-
-    def check(slot, k, om):
-        nonlocal worst_asym, worst_eig
-        scale = max(1.0, float(np.max(np.abs(om))))
-        worst_asym = max(worst_asym, float(np.max(np.abs(om - om.T))) / scale)
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(om)[0]))
-
     for name in catalog.BUILTIN_NAMES:
-        spec, _, _, _ = catalog.builtin(name)
-        q = spec.dimension
-        grid = spec.sample(settings.half_step_times)
-        rk4_on_grid(lambda om, i: rate(om, grid[i]), np.zeros((q, q)), dt,
-                    settings.record_steps, check)
+        om = _filter_states(catalog.builtin(name)[0], settings)
+        scale = np.maximum(1.0, np.max(np.abs(om), axis=(1, 2)))
+        asym = np.max(np.abs(om - om.swapaxes(1, 2)), axis=(1, 2)) / scale
+        worst_asym = max(worst_asym, float(np.max(asym)))
+        worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(om)[:, 0])))
         if worst_asym > 1e-12 or worst_eig < -1e-9:
             return False, (f"{name}: asymmetry {worst_asym:.2e} or min eig "
                            f"{worst_eig:.2e} out of tolerance")

@@ -1,17 +1,27 @@
-"""Fixed-step RK4 integration of the joint estimator + filter state.
+"""Fixed-step RK4 integration of the estimators.
 
 The estimator ODEs are smooth and short-horizon, so a classical fixed-step
 fourth-order Runge-Kutta scheme is used everywhere: runs are deterministic,
 the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
-constant over a step. ``rk4_on_grid`` is the one integration loop, over
-signals pre-sampled on ``SimSettings.half_step_times``; ``simulate`` and the
+constant over a step. ``rk4_on_grid`` is the one integration loop; its
+right-hand side gets the stage index 4k + s (stage s of step k), because the
+two midpoint stages share a time but not a filter value. ``simulate`` and the
 acceptance criteria integrate through it, and ``rk4_step`` is the independent
-one-step reference the tests pin it to. ``simulate`` integrates the laws of
-``estimators.LAWS`` and ``filters.filter_law``.
+one-step reference the tests pin it to.
 
-Divergence is detected at recording points: any non-finite state entry or a
-state norm above 1e12 aborts the run with the offending time and component.
+``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` steps, so its
+memory is bounded by a chunk and the recorded rows, not by the horizon. Per
+chunk it samples the regressor on the half-step grid and builds the stage
+tables (a, b) the law of ``estimators.LAWS`` reads: (w, g) at each stage time
+for GE/MGE, and for the filtered variants the (Omega, G) stage values that
+``filters.filter_scan`` computes for the whole chunk at once, since the filter
+does not depend on the estimate. The estimate alone then runs through
+``rk4_on_grid``, carried with the filter state from chunk to chunk.
+
+Divergence is detected at recording points: any non-finite estimate entry or
+an estimate norm above 1e12 aborts the run with the offending time and
+component.
 Error norms and manifold diagnostics are computed from the recorded
 estimates after the loop.
 """
@@ -26,11 +36,16 @@ from .errors import ConfigurationError, DivergenceError
 from .estimators import LAWS, manifold_residual, storage
 # bench/tracing.py counts calls to these law helpers by wrapping them here
 from .estimators import adjugate, det, mge_gain  # noqa: F401
-from .filters import filter_law
+from .filters import FilterState, filter_scan
 from .signals import MAX_STEPS
 from .types import EstimationProblem, EstimatorConfig, Trajectory
 
 _STATE_NORM_LIMIT = 1e12
+# steps per chunk of the time axis: enough to amortize the vectorized work,
+# small enough that a chunk's tables stay a few hundred kB
+CHUNK_STEPS = 2048
+# half-step grid offsets of the four RK4 stages of a step: t_k, t_k + dt/2 twice, t_k + dt
+_STAGE_HALF_STEPS = np.array([0, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -80,10 +95,22 @@ class SimSettings:
         """Step indices to record: every record_every-th from 0, plus the last."""
         return list(range(0, self.n_steps, self.record_every)) + [self.n_steps]
 
+    def half_step_times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Half-step grid of steps start..stop (default: all): entry 2j is
+        t_{start+j}, 2j+1 is t_{start+j} + dt/2, the last is t_stop."""
+        stop = self.n_steps if stop is None else stop
+        return 0.5 * self.dt * np.arange(2 * start, 2 * stop + 1)
+
     @property
-    def half_step_times(self) -> np.ndarray:
-        """The grid ``rk4_on_grid`` indexes: entry 2k is t_k, 2k+1 is t_k + dt/2."""
-        return 0.5 * self.dt * np.arange(2 * self.n_steps + 1)
+    def chunks(self) -> list[tuple[int, int]]:
+        """(start, stop) steps of the chunks ``simulate`` walks, in order."""
+        n = self.n_steps
+        return [(k, min(k + CHUNK_STEPS, n)) for k in range(0, n, CHUNK_STEPS)]
+
+
+def stage_index(m: int) -> np.ndarray:
+    """Half-step grid index of stage s of step k at entry 4k + s, for k < m."""
+    return (2 * np.arange(m)[:, None] + _STAGE_HALF_STEPS).ravel()
 
 
 def rk4_step(rhs, t: float, state: np.ndarray, dt: float) -> np.ndarray:
@@ -108,25 +135,57 @@ def _checked_stage(value, t: float) -> np.ndarray:
 
 
 def rk4_on_grid(f, y, dt: float, record_ks, record):
-    """Classical RK4 on ``dy/dt = f(y, i)``, ``i`` indexing the half-step grid
-    (step k evaluates i = 2k, 2k+1 twice, 2k+2). Calls ``record(slot, k, y)``
-    after each step k of the increasing ``record_ks`` (k = 0 is the initial
-    state) and stops after the last one, or when ``record`` raises.
-    Returns the final state.
+    """Classical RK4 on ``dy/dt = f(y, i)``, ``i = 4k + s`` naming stage s of
+    step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2, stage 3 at t_k + dt).
+    Calls ``record(slot, k, y)`` after each step k of the increasing
+    ``record_ks`` (k = 0 is the initial state) and stops after the last one,
+    or when ``record`` raises. Returns the final state.
     """
     half = 0.5 * dt
     sixth = dt / 6.0
     done = 0
     for slot, k in enumerate(record_ks):
-        for i in range(2 * done, 2 * k, 2):
+        for i in range(4 * done, 4 * k, 4):
             k1 = f(y, i)
             k2 = f(y + half * k1, i + 1)
-            k3 = f(y + half * k2, i + 1)
-            k4 = f(y + dt * k3, i + 2)
+            k3 = f(y + half * k2, i + 2)
+            k4 = f(y + dt * k3, i + 3)
             y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         record(slot, k, y)
         done = k
     return y
+
+
+def _sampled_chunks(problem: EstimationProblem, settings: SimSettings):
+    """Yield (start, w, g) for each chunk of ``settings.chunks``: the regressor
+    and the output g = w^T theta on the chunk's half-step grid."""
+    for start, stop in settings.chunks:
+        w = problem.regressor.sample(settings.half_step_times(start, stop))
+        yield start, w, w @ problem.true_params
+
+
+def filter_stages(problem: EstimationProblem, state: FilterState, settings: SimSettings):
+    """Yield (start, Omega stages, G stages, state after the chunk) for each
+    chunk: the filter run from ``state`` by ``filters.filter_scan``, which the
+    filtered variants of ``simulate`` read."""
+    for start, w, g in _sampled_chunks(problem, settings):
+        omega_ext, g_ext, state = filter_scan(state, w, g, settings.dt)
+        yield start, omega_ext, g_ext, state
+
+
+def _stage_tables(problem: EstimationProblem, state: FilterState | None,
+                  settings: SimSettings):
+    """Yield (start, a, b) per chunk, with (a[4j+s], b[4j+s]) the law's inputs
+    at stage s of step start+j: the filter run from ``state``, or (w, g) when
+    it is None."""
+    q = problem.dimension
+    if state is not None:
+        for start, omega_ext, g_ext, _ in filter_stages(problem, state, settings):
+            yield start, omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q)
+    else:
+        for start, w, g in _sampled_chunks(problem, settings):
+            index = stage_index(len(w) // 2)
+            yield start, w[index], g[index]
 
 
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
@@ -139,36 +198,17 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     """
     q = problem.dimension
     state0 = config.initial_state(q)
+    y = state0.theta_hat
     variant = config.variant
-    dt = settings.dt
-
-    w_grid = problem.regressor.sample(settings.half_step_times)
-    g_grid = w_grid @ problem.true_params
-
+    dt, n, every = settings.dt, settings.n_steps, settings.record_every
     tau, mu = config.tau, config.mu
     law = LAWS[variant]
-    if variant.uses_filter:
-        # flat joint state [theta_hat, Omega.ravel(), G]
-        y = np.concatenate([state0.theta_hat,
-                            state0.filter.omega_ext.ravel(),
-                            state0.filter.g_ext])
-        q2 = q * q
+    record_ks = np.append(np.arange(0, n, every), n)
+    estimates = np.empty((len(record_ks), q))
 
-        def f(y, i):
-            th, om, ge = y[:q], y[q:q + q2].reshape(q, q), y[q + q2:]
-            d_om, d_g = filter_law(om, ge, w_grid[i], g_grid[i])
-            return np.concatenate([law(th, om, ge, tau, mu), d_om.ravel(), d_g])
-    else:
-        y = state0.theta_hat.copy()
-
-        def f(y, i):
-            return law(y, w_grid[i], g_grid[i], tau, mu)
-
-    record_ks = settings.record_steps
-    n_rec = len(record_ks)
-    estimates = np.empty((n_rec, q))
-
-    def record(slot: int, k: int, yk: np.ndarray):
+    def record(k: int, yk: np.ndarray):
+        if k % every and k != n:
+            return  # a chunk end between recorded steps
         with np.errstate(over="ignore", invalid="ignore"):
             bounded = np.all(np.isfinite(yk)) and float(yk @ yk) <= _STATE_NORM_LIMIT ** 2
         if not bounded:
@@ -178,9 +218,16 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
                 f"state diverged by t={k * dt} (component {comp}, "
                 f"variant {variant.value}, dt={dt})"
             )
-        estimates[slot] = yk[:q]
+        estimates[-(-k // every)] = yk
 
-    rk4_on_grid(f, y, dt, record_ks, record)
+    for start, a, b in _stage_tables(problem, state0.filter, settings):
+        def f(yk, i):
+            return law(yk, a[i], b[i], tau, mu)
+
+        stop = start + len(a) // 4
+        first = 0 if start == 0 else (start // every + 1) * every
+        stops = [*range(first - start, stop - start, every), stop - start]
+        y = rk4_on_grid(f, y, dt, stops, lambda slot, k, yk: record(start + k, yk))
 
     terr = problem.true_params - estimates
     # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i
@@ -188,8 +235,8 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     if q >= 2:
         residuals = manifold_residual(terr, mu)
     else:
-        residuals = np.full(n_rec, np.nan)
-    return Trajectory(times=np.array(record_ks) * dt, estimates=estimates,
+        residuals = np.full(len(record_ks), np.nan)
+    return Trajectory(times=record_ks * dt, estimates=estimates,
                       err_norms=err_norms, manifold_residuals=residuals,
                       storage_values=storage(residuals))
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from paramest.catalog import builtin
+from paramest.catalog import BUILTIN_NAMES, builtin
 from paramest.errors import ConfigurationError
-from paramest.filters import FilterState, filter_rhs
-from paramest.sim import rk4_step
+from paramest.filters import SCAN_BLOCK, FilterState, filter_rhs
+from paramest.sim import CHUNK_STEPS, SimSettings, filter_stages, rk4_step
+from paramest.types import EstimationProblem
 
 
 def integrate_filter(omega_of_t, g_of_t, q, t_end, dt=1e-3, init=0.0):
@@ -92,3 +93,38 @@ class TestTrajectories:
             asym = np.max(np.abs(state.omega_ext - state.omega_ext.T))
             assert asym <= 1e-12 * max(1.0, np.max(np.abs(state.omega_ext)))
             assert np.linalg.eigvalsh(state.omega_ext)[0] >= -1e-9
+
+
+class TestScan:
+    """The production scan against rk4_step over filter_rhs, stage by stage."""
+
+    @pytest.mark.parametrize("n_steps", [2 * CHUNK_STEPS + 100, SCAN_BLOCK // 2],
+                             ids=["chunks", "part-block"])
+    @pytest.mark.parametrize("init", [0.0, 0.1])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_states_and_stages_match_rk4_step(self, name, init, n_steps):
+        spec, theta, _, _ = builtin(name)
+        q = spec.dimension
+        dt = 1e-3
+        stages = []  # every state the reference evaluates the law at, in order
+
+        def rhs(t, y):
+            stages.append(y)
+            w = spec.evaluate(t)
+            d = filter_rhs(FilterState(y[:q * q].reshape(q, q), y[q * q:]), w, w @ theta)
+            return np.concatenate([d.omega_ext.ravel(), d.g_ext])
+
+        y = np.full(q * q + q, init)
+        for k in range(n_steps):
+            y = rk4_step(rhs, k * dt, y, dt)
+        ref_stages = np.array(stages).reshape(n_steps, 4, q * q + q)
+
+        chunks = list(filter_stages(EstimationProblem(spec, theta), FilterState.uniform(q, init),
+                                    SimSettings(t_end=n_steps * dt, dt=dt)))
+        omega_ext = np.concatenate([c[1] for c in chunks]).reshape(n_steps, 4, q * q)
+        g_ext = np.concatenate([c[2] for c in chunks])
+        end = chunks[-1][3]
+        got = np.concatenate([omega_ext, g_ext], axis=-1)
+        got_end = np.concatenate([end.omega_ext.ravel(), end.g_ext])
+        for ours, ref in ((got, ref_stages), (got_end, y)):
+            assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12

@@ -7,8 +7,15 @@ from paramest.catalog import BUILTIN_NAMES, builtin, builtin_estimators, builtin
 from paramest.errors import ConfigurationError, DivergenceError
 from paramest.estimators import adjugate, det, ge_rhs, mge_mre_rhs, mge_rhs, mre_rhs
 from paramest.filters import FilterState, filter_rhs
-from paramest.signals import MAX_STEPS, regressor_from_strings
-from paramest.sim import SimSettings, convergence_time, rk4_on_grid, rk4_step, simulate
+from paramest.signals import MAX_STEPS, RegressorSpec, regressor_from_strings
+from paramest.sim import (
+    CHUNK_STEPS,
+    SimSettings,
+    convergence_time,
+    rk4_on_grid,
+    rk4_step,
+    simulate,
+)
 from paramest.types import (
     EstimationProblem,
     EstimatorConfig,
@@ -62,8 +69,16 @@ class TestSettings:
         assert settings.record_steps == list(range(0, 99, 7)) + [100]
         assert SimSettings(t_end=0.1, dt=1e-3, record_every=10).record_steps[-2:] == [90, 100]
         assert SimSettings(t_end=1.0, dt=0.4).record_steps == [0, 2]  # 2.5 rounds to 2
-        assert np.array_equal(SimSettings(t_end=1.0, dt=0.5).half_step_times,
+        assert np.array_equal(SimSettings(t_end=1.0, dt=0.5).half_step_times(),
                               [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(SimSettings(t_end=1.0, dt=0.25).half_step_times(1, 3),
+                              [0.25, 0.375, 0.5, 0.625, 0.75])
+
+    def test_chunks_cover_the_steps_in_order(self):
+        n = 2 * CHUNK_STEPS + 5
+        assert SimSettings(t_end=n * 1e-3).chunks == [
+            (0, CHUNK_STEPS), (CHUNK_STEPS, 2 * CHUNK_STEPS), (2 * CHUNK_STEPS, n)]
+        assert SimSettings(t_end=0.01).chunks == [(0, 10)]
 
     def test_stores_floats_and_an_int_stride(self):
         settings = SimSettings(t_end=3, dt=np.float64(0.5), record_every=2.0)
@@ -115,7 +130,7 @@ class TestRk4OnGrid:
         rk4_on_grid(f, np.array([1.0]), 0.1, [0, 3, 6, 7],
                     lambda slot, k, y: records.append((slot, k)))
         assert records == [(0, 0), (1, 3), (2, 6), (3, 7)]
-        assert calls == [i for k in range(7) for i in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
+        assert calls == list(range(4 * 7))  # stage s of step k is 4k + s
 
     def test_matches_repeated_rk4_step(self):
         dt, states = 0.01, []
@@ -139,7 +154,7 @@ class TestRk4OnGrid:
 
         with pytest.raises(DivergenceError):
             rk4_on_grid(f, np.array([1.0]), 0.1, range(0, 11), record)
-        assert len(calls) == 4 * 5 and max(calls) == 10
+        assert len(calls) == 4 * 5 and max(calls) == 4 * 5 - 1
 
 
 class TestSimulate:
@@ -272,6 +287,34 @@ class TestReferenceIntegrator:
         ref = reference_estimates(problem, cfg, 1e-3, n_steps)
         assert traj.estimates.shape == ref.shape
         assert np.max(np.abs(traj.estimates - ref)) <= 1e-12
+
+
+class TestChunkBoundaries:
+    """simulate carries the estimate and the filter across chunk ends; the
+    reference horizon above sits inside one chunk and cannot see that."""
+
+    N_STEPS = 2 * CHUNK_STEPS + CHUNK_STEPS // 2
+
+    @pytest.mark.parametrize("variant", [Variant.GE, Variant.MRE])
+    def test_matches_reference_across_chunks(self, variant, monkeypatch):
+        problem, tau, mu = make_problem("example6")
+        cfg = EstimatorConfig(variant=variant, tau=tau, mu=mu, filter_init=0.1)
+        ref = reference_estimates(problem, cfg, 1e-3, self.N_STEPS)
+
+        sampled = []
+        sample = RegressorSpec.sample
+
+        def spy(spec, ts):
+            sampled.append(len(ts))
+            return sample(spec, ts)
+
+        monkeypatch.setattr(RegressorSpec, "sample", spy)
+        for every in (1, 7, CHUNK_STEPS + 500):
+            settings = SimSettings(t_end=self.N_STEPS * 1e-3, record_every=every)
+            traj = simulate(problem, cfg, settings)
+            assert np.array_equal(traj.times, np.array(settings.record_steps) * 1e-3)
+            assert np.max(np.abs(traj.estimates - ref[settings.record_steps])) <= 1e-12
+        assert sampled and max(sampled) <= 2 * CHUNK_STEPS + 1
 
 
 class TestDtRobustness:
