@@ -121,7 +121,8 @@ def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
     for s, alpha in ((1, alpha2), (2, alpha3), (3, alpha4)):
         stages[:, s] += alpha * stages[:, 0]
 
-    end = FilterState(xs[m - 1, :q * q].reshape(q, q), xs[m - 1, q * q:])
+    x = xs[m - 1].copy()  # not a view: the state outlives the chunk's scan
+    end = FilterState(x[:q * q].reshape(q, q), x[q * q:])
     return stages[..., :q * q].reshape(m, 4, q, q), stages[..., q * q:], end
 
 

@@ -16,8 +16,14 @@ chunk it samples the regressor on the half-step grid and builds the stage
 tables (a, b) the law of ``estimators.LAWS`` reads: (w, g) at each stage time
 for GE/MGE, and for the filtered variants the (Omega, G) stage values that
 ``filters.filter_scan`` computes for the whole chunk at once, since the filter
-does not depend on the estimate. The estimate alone then runs through
-``rk4_on_grid``, carried with the filter state from chunk to chunk.
+does not depend on the estimate. Every law is affine in the estimate, so from
+(a, b) one vectorized call each builds the affine stage tables (c, At) of the
+law expanded at the estimate theta_s the chunk starts from:
+``law(y, a[i], b[i]) = c[i] + (y - theta_s) @ At[i]``. The estimate alone then
+runs through ``rk4_on_grid`` on that one right-hand side, whatever the
+variant, and is carried with the filter state from chunk to chunk. Expanding
+at theta_s, not at 0, keeps an estimate at rest exactly where the law puts
+it: started at the truth, the unfiltered estimates never move.
 
 Divergence is detected at recording points: any non-finite estimate entry or
 an estimate norm above 1e12 aborts the run with the offending time and
@@ -156,36 +162,50 @@ def rk4_on_grid(f, y, dt: float, record_ks, record):
     return y
 
 
-def _sampled_chunks(problem: EstimationProblem, settings: SimSettings):
-    """Yield (start, w, g) for each chunk of ``settings.chunks``: the regressor
-    and the output g = w^T theta on the chunk's half-step grid."""
-    for start, stop in settings.chunks:
-        w = problem.regressor.sample(settings.half_step_times(start, stop))
-        yield start, w, w @ problem.true_params
+def _sampled(problem: EstimationProblem, settings: SimSettings, start: int, stop: int):
+    """The regressor w and the output g = w^T theta on the half-step grid of
+    steps start..stop."""
+    w = problem.regressor.sample(settings.half_step_times(start, stop))
+    return w, w @ problem.true_params
 
 
 def filter_stages(problem: EstimationProblem, state: FilterState, settings: SimSettings):
     """Yield (start, Omega stages, G stages, state after the chunk) for each
-    chunk: the filter run from ``state`` by ``filters.filter_scan``, which the
-    filtered variants of ``simulate`` read."""
-    for start, w, g in _sampled_chunks(problem, settings):
+    chunk: the filter run from ``state`` by ``filters.filter_scan``, the scan
+    the filtered variants of ``simulate`` read."""
+    for start, stop in settings.chunks:
+        w, g = _sampled(problem, settings, start, stop)
         omega_ext, g_ext, state = filter_scan(state, w, g, settings.dt)
         yield start, omega_ext, g_ext, state
 
 
 def _stage_tables(problem: EstimationProblem, state: FilterState | None,
-                  settings: SimSettings):
-    """Yield (start, a, b) per chunk, with (a[4j+s], b[4j+s]) the law's inputs
-    at stage s of step start+j: the filter run from ``state``, or (w, g) when
-    it is None."""
+                  settings: SimSettings, start: int, stop: int):
+    """(a, b, filter state after the chunk) for steps start..stop, with
+    (a[4j+s], b[4j+s]) the law's inputs at stage s of step start+j: the filter
+    run from ``state``, or (w, g) when it is None."""
+    w, g = _sampled(problem, settings, start, stop)
+    if state is None:
+        index = stage_index(stop - start)
+        return w[index], g[index], None
     q = problem.dimension
-    if state is not None:
-        for start, omega_ext, g_ext, _ in filter_stages(problem, state, settings):
-            yield start, omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q)
-    else:
-        for start, w, g in _sampled_chunks(problem, settings):
-            index = stage_index(len(w) // 2)
-            yield start, w[index], g[index]
+    omega_ext, g_ext, state = filter_scan(state, w, g, settings.dt)
+    return omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q), state
+
+
+def _affine_tables(law, theta_s: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   tau: float, mu: float):
+    """(c, At) with ``law(y, a[i], b[i]) = c[i] + (y - theta_s) @ At[i]``.
+
+    Every law is affine in the estimate, so c[i] = law(theta_s, a[i], b[i])
+    and row j of At[i], column j of the law's matrix, is law(e_j, a[i], 0).
+    Each is one call over the whole table, At's with the identity on a
+    leading axis; c is ``[n, q]`` and At a C-contiguous ``[n, q, q]``.
+    """
+    q = theta_s.shape[-1]
+    c = law(theta_s, a, b, tau, mu)
+    at = law(np.eye(q), a[:, None], np.zeros_like(b)[:, None], tau, mu)
+    return c, np.ascontiguousarray(at)
 
 
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
@@ -198,7 +218,7 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     """
     q = problem.dimension
     state0 = config.initial_state(q)
-    y = state0.theta_hat
+    theta_s, filt = state0.theta_hat, state0.filter
     variant = config.variant
     dt, n, every = settings.dt, settings.n_steps, settings.record_every
     tau, mu = config.tau, config.mu
@@ -220,14 +240,21 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
             )
         estimates[-(-k // every)] = yk
 
-    for start, a, b in _stage_tables(problem, state0.filter, settings):
-        def f(yk, i):
-            return law(yk, a[i], b[i], tau, mu)
+    for start, stop in settings.chunks:
+        a, b, filt = _stage_tables(problem, filt, settings, start, stop)
+        c, at = _affine_tables(law, theta_s, a, b, tau, mu)
 
-        stop = start + len(a) // 4
+        def f(y, i):
+            # y - theta_s is exactly 0 until the estimate moves, so an estimate
+            # at rest stays where the law keeps it, to the bit
+            return c[i] + (y - theta_s).dot(at[i])
+
         first = 0 if start == 0 else (start // every + 1) * every
         stops = [*range(first - start, stop - start, every), stop - start]
-        y = rk4_on_grid(f, y, dt, stops, lambda slot, k, yk: record(start + k, yk))
+        theta_s = rk4_on_grid(f, theta_s, dt, stops,
+                              lambda slot, k, y: record(start + k, y))
+        # release this chunk's tables before the next chunk's are built
+        del a, b, c, at
 
     terr = problem.true_params - estimates
     # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i

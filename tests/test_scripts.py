@@ -46,3 +46,72 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:-1]}
     assert len(rows) == 12
     assert [name for name, gaps in rows.items() if float(gaps[1]) > 0] == ["example1/MGE"]
+
+
+STUB_RUN = '''\
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parents[1]
+log = here.parent / "order.log"
+calls = len(log.read_text().split()) if log.exists() else 0  # runs before this one
+with open(log, "a") as fh:
+    fh.write(here.name + "\\n")
+print("# paramest benchmark: stub")
+print("  passes: %(passes)d")
+print('  environment: {"nproc": 2, "cpu": "stub", "python": "3", "numpy": "2", '
+      '"commit": "%(commit)s", "threads": {}}')
+print("  raw.wall_s = %(raw)s s")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "wall_s": {"value": %(wall)s, "unit": "s"},
+    "work_per_s": {"value": %(work)s, "unit": "1/s"},
+    "peak_rss_mb": {"value": %(rss)s, "unit": "MB"}}}))
+'''
+
+
+def test_bench_pairs_alternates_and_merges(tmp_path):
+    # the parent's wall_s is 10 plus the number of runs before it: 10, 13, 14, 17
+    sides = {"parent": dict(passes=2, commit="abc", raw=11.0, wall="10.0 + calls", work=5.0,
+                            rss=40.0),
+             "pr": dict(passes=3, commit="def", raw=9.0, wall=8.0, work=6.0, rss=41.0)}
+    for side, values in sides.items():
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(STUB_RUN % values)
+    (tmp_path / "pr" / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "pr" / "scripts")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "pr")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"change": "kept"}))
+
+    def run(pairs):
+        return subprocess.run(
+            [sys.executable, str(tmp_path / "pr" / "scripts" / "bench_pairs.py"),
+             str(tmp_path / "parent"), "--workload", "reproduce", "--seed", "7",
+             "--pairs", str(pairs), "--out", str(out)],
+            capture_output=True, text=True, timeout=120)
+
+    proc = run(3)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "order.log").read_text().split() == \
+        ["parent", "pr", "pr", "parent", "parent", "pr"]
+    proc = run(1)  # pair 4: the change runs first, and the runs are appended
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "order.log").read_text().split()[-2:] == ["pr", "parent"]
+
+    doc = json.loads(out.read_text())
+    assert doc["change"] == "kept" and doc["parent_commit"] == "abc"
+    assert doc["environment"] == {"nproc": 2, "cpu": "stub", "python": "3", "numpy": "2",
+                                  "threads": {}}
+    entry = doc["workloads"]["reproduce/seed7"]
+    assert entry["pairs"] == 4 and entry["all_correct"] is True
+    assert entry["passes_per_run"] == {"parent": [2] * 4, "pr": [3] * 4}
+    metrics = entry["metrics"]
+    assert set(metrics) == {"wall_s", "work_per_s", "peak_rss_mb", "raw.wall_s"}
+    wall = metrics["wall_s"]
+    assert wall["better"] == "lower" and wall["pr_wins"] == 4
+    assert wall["parent"] == {"median": 13.5, "q1": 12.25, "q3": 14.75,
+                              "runs": [10.0, 13.0, 14.0, 17.0]}
+    assert wall["pr"] == {"median": 8.0, "q1": 8.0, "q3": 8.0, "runs": [8.0] * 4}
+    assert wall["change"] == round(8.0 / 13.5 - 1.0, 6)
+    assert metrics["work_per_s"]["pr_wins"] == 4 and metrics["work_per_s"]["change"] == 0.2
+    assert metrics["peak_rss_mb"]["pr_wins"] == 0
+    assert metrics["raw.wall_s"]["better"] == "lower" and metrics["raw.wall_s"]["pr_wins"] == 4
