@@ -25,10 +25,10 @@ from .signals import excitation_report, regressor_from_strings
 from .sim import (
     SimSettings,
     convergence_time,
-    filter_stages,
     rk4_on_grid,
     simulate,
     stage_index,
+    stage_tables,
 )
 from .types import EstimationProblem, EstimatorConfig, EstimatorState, Variant
 
@@ -185,13 +185,13 @@ def _c4_duality():
 
 
 def _filter_states(spec, settings):
-    """Omega after every step of the production filter run from zero (the one
-    ``simulate`` reads), over ``spec`` with g = 0."""
+    """Omega after every step of the filter run from zero by ``stage_tables``,
+    the chunk walk ``simulate`` integrates over, over ``spec`` with g = 0."""
     q = spec.dimension
     problem = EstimationProblem(spec, np.zeros(q))
     states = []
-    for _, omega_ext, _, end in filter_stages(problem, FilterState.uniform(q), settings):
-        states.append(omega_ext[:, 0])
+    for _, _, omega_stages, _, end in stage_tables(problem, FilterState.uniform(q), settings):
+        states.append(omega_stages[::4])  # stage 0 of each step is its start state
     return np.concatenate(states + [end.omega_ext[None]])
 
 

@@ -193,6 +193,9 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     return _det_adjugate(m)[1]
 
 
+_MINOR_ENTRIES = 2 ** 18
+
+
 def _det_adjugate(m: np.ndarray):
     """(det(m), adjugate(m)) of ``m`` ``[..., q, q]``."""
     m = np.asarray(m, dtype=float)
@@ -209,10 +212,16 @@ def _det_adjugate(m: np.ndarray):
                d * h - e * g, b * g - a * h, a * e - b * d)
         delta = a * adj[0] - b * (d * i - f * g) + c * adj[6]
     else:
-        # keep[i] lists the indices other than i; minors[..., i, j] drops row i, column j
+        # keep[i] lists the indices other than i; minors[n, i, j] drops row i, column j.
+        # The minors hold q^4 entries per matrix, so a stack is taken in slices
+        # whose minors hold at most _MINOR_ENTRIES entries.
         keep = np.array([[k for k in range(q) if k != i] for i in range(q)])
-        minors = m[..., keep[:, None, :, None], keep[None, :, None, :]]
         sign = (-1.0) ** np.add.outer(np.arange(q), np.arange(q))
-        cofactors = np.ascontiguousarray(sign * np.linalg.det(minors))
+        cofactors = np.empty(m.shape)
+        flat, out = m.reshape(-1, q, q), cofactors.reshape(-1, q, q)
+        step = max(1, _MINOR_ENTRIES // q ** 4)
+        for s in range(0, len(flat), step):
+            minors = flat[s:s + step, keep[:, None, :, None], keep[None, :, None, :]]
+            np.multiply(sign, np.linalg.det(minors), out=out[s:s + step])
         return np.linalg.det(m), cofactors.swapaxes(-1, -2)
     return delta.T, np.ascontiguousarray(np.array(adj).T).reshape(m.shape)

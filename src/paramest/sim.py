@@ -11,9 +11,10 @@ acceptance criteria integrate through it, and ``rk4_step`` is the independent
 one-step reference the tests pin it to.
 
 ``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` steps, so its
-memory is bounded by a chunk and the recorded rows, not by the horizon. Per
-chunk it samples the regressor on the half-step grid and builds the stage
-tables (a, b) the law of ``estimators.LAWS`` reads: (w, g) at each stage time
+memory is bounded by a chunk and the recorded rows, not by the horizon.
+``stage_tables`` is that chunk walk: per chunk it samples the regressor on
+the half-step grid and builds the stage tables (a, b) the law of
+``estimators.LAWS`` reads: (w, g) at each stage time
 for GE/MGE, and for the filtered variants the (Omega, G) stage values that
 ``filters.filter_scan`` computes for the whole chunk at once, since the filter
 does not depend on the estimate. Every law is affine in the estimate, so from
@@ -24,6 +25,14 @@ runs through ``rk4_on_grid`` on that one right-hand side, whatever the
 variant, and is carried with the filter state from chunk to chunk. Expanding
 at theta_s, not at 0, keeps an estimate at rest exactly where the law puts
 it: started at the truth, the unfiltered estimates never move.
+
+The affine tables are sized for small q, as in the builtins (q <= 3), where
+their speed-up was measured: At holds q^2 entries per stage (about
+65 kB * q^2 a chunk) for every variant, and the law runs twice over each
+chunk's table, once for c and once for At. At larger q the tables cost
+memory (GE at q = 16: 20 MB a run against 3 MB for a per-stage loop), and
+DREM, whose law is a determinant and adjugate, does twice the per-stage
+loop's work (1.7x its time at q = 16).
 
 Divergence is detected at recording points: any non-finite estimate entry or
 an estimate norm above 1e12 aborts the run with the offending time and
@@ -169,21 +178,21 @@ def _sampled(problem: EstimationProblem, settings: SimSettings, start: int, stop
     return w, w @ problem.true_params
 
 
-def filter_stages(problem: EstimationProblem, state: FilterState, settings: SimSettings):
-    """Yield (start, Omega stages, G stages, state after the chunk) for each
-    chunk: the filter run from ``state`` by ``filters.filter_scan``, the scan
-    the filtered variants of ``simulate`` read."""
+def stage_tables(problem: EstimationProblem, state: FilterState | None,
+                 settings: SimSettings):
+    """Yield (start, stop, a, b, filter state after the chunk) for each chunk
+    of ``settings.chunks``, with (a[4j+s], b[4j+s]) the law's inputs at stage
+    s of step start+j: the filter run from ``state`` by ``filters.filter_scan``
+    (a ``[4m, q, q]``, b ``[4m, q]``), or (w, g) when ``state`` is None. This is
+    the one chunk walk ``simulate`` integrates over."""
     for start, stop in settings.chunks:
-        w, g = _sampled(problem, settings, start, stop)
-        omega_ext, g_ext, state = filter_scan(state, w, g, settings.dt)
-        yield start, omega_ext, g_ext, state
+        a, b, state = _chunk_tables(problem, state, settings, start, stop)
+        yield start, stop, a, b, state
+        del a, b  # released before the next chunk's are built
 
 
-def _stage_tables(problem: EstimationProblem, state: FilterState | None,
+def _chunk_tables(problem: EstimationProblem, state: FilterState | None,
                   settings: SimSettings, start: int, stop: int):
-    """(a, b, filter state after the chunk) for steps start..stop, with
-    (a[4j+s], b[4j+s]) the law's inputs at stage s of step start+j: the filter
-    run from ``state``, or (w, g) when it is None."""
     w, g = _sampled(problem, settings, start, stop)
     if state is None:
         index = stage_index(stop - start)
@@ -218,7 +227,7 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     """
     q = problem.dimension
     state0 = config.initial_state(q)
-    theta_s, filt = state0.theta_hat, state0.filter
+    theta_s = state0.theta_hat
     variant = config.variant
     dt, n, every = settings.dt, settings.n_steps, settings.record_every
     tau, mu = config.tau, config.mu
@@ -240,8 +249,7 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
             )
         estimates[-(-k // every)] = yk
 
-    for start, stop in settings.chunks:
-        a, b, filt = _stage_tables(problem, filt, settings, start, stop)
+    for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
         c, at = _affine_tables(law, theta_s, a, b, tau, mu)
 
         def f(y, i):

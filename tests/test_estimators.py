@@ -250,6 +250,17 @@ class TestLeadingAxes:
                 self.assert_stack_is_loop(stacked, lead, lambda idx: filter_law(
                     m[idx], v[idx], w[idx], g[idx])[part])
 
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_det_adjugate_of_a_stack_longer_than_a_minor_slice(self, q):
+        # above q = 3 the minors are built a slice of the stack at a time
+        # (1024 matrices at q = 4, 202 at q = 6): a stack spanning several
+        # slices, with a partial last one, is still the loop of its matrices
+        rng = np.random.default_rng(q)
+        lead = (5, 2 ** 18 // q ** 4 // 2 + 1)
+        m = _draw(rng, lead + (q, q))
+        for fn in (det, adjugate):
+            self.assert_stack_is_loop(fn(m), lead, lambda idx: fn(m[idx]))
+
     @pytest.mark.parametrize("variant", list(Variant))
     @given(lead=st.sampled_from(LEADS), q=st.integers(1, 5), seed=SEEDS, tau=gains,
            mu=st.floats(-1.5, 1.5))

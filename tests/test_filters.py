@@ -6,7 +6,7 @@ import pytest
 from paramest.catalog import BUILTIN_NAMES, builtin
 from paramest.errors import ConfigurationError
 from paramest.filters import SCAN_BLOCK, FilterState, filter_rhs
-from paramest.sim import CHUNK_STEPS, SimSettings, filter_stages, rk4_step
+from paramest.sim import CHUNK_STEPS, SimSettings, rk4_step, stage_tables
 from paramest.types import EstimationProblem
 
 
@@ -119,11 +119,11 @@ class TestScan:
             y = rk4_step(rhs, k * dt, y, dt)
         ref_stages = np.array(stages).reshape(n_steps, 4, q * q + q)
 
-        chunks = list(filter_stages(EstimationProblem(spec, theta), FilterState.uniform(q, init),
-                                    SimSettings(t_end=n_steps * dt, dt=dt)))
-        omega_ext = np.concatenate([c[1] for c in chunks]).reshape(n_steps, 4, q * q)
-        g_ext = np.concatenate([c[2] for c in chunks])
-        end = chunks[-1][3]
+        chunks = list(stage_tables(EstimationProblem(spec, theta), FilterState.uniform(q, init),
+                                   SimSettings(t_end=n_steps * dt, dt=dt)))
+        omega_ext = np.concatenate([c[2] for c in chunks]).reshape(n_steps, 4, q * q)
+        g_ext = np.concatenate([c[3] for c in chunks]).reshape(n_steps, 4, q)
+        end = chunks[-1][4]
         got = np.concatenate([omega_ext, g_ext], axis=-1)
         got_end = np.concatenate([end.omega_ext.ravel(), end.g_ext])
         for ours, ref in ((got, ref_stages), (got_end, y)):
