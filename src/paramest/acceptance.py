@@ -24,8 +24,8 @@ from .harness import read_trajectory_csv, run_scenario, scenario_from_name
 from .signals import excitation_report, regressor_from_strings
 from .sim import (
     SimSettings,
+    affine_rk4,
     convergence_time,
-    rk4_on_grid,
     simulate,
     stage_index,
     stage_tables,
@@ -155,16 +155,13 @@ def _c3_scalar_closed_form():
 def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
     """RK4 run of the modified-gain parameter-error dynamics
     d(err)/dt = -k(w) w^T err, a law written here from ``mge_gain`` alone, so
-    it is independent of the estimator law that ``simulate`` integrates."""
-    stages = spec.sample(settings.half_step_times())[stage_index(settings.n_steps)]
+    it is independent of the estimator law that ``simulate`` integrates. It is
+    linear in err, so its stage tables are c = 0 and At = -w k(w)^T."""
+    w = spec.sample(settings.half_step_times())[stage_index(settings.n_steps)]
+    at = -w[:, :, None] * mge_gain(w, tau, mu)[:, None, :]
     out = []
-
-    def f(v, i):
-        w = stages[i]
-        return -mge_gain(w, tau, mu) * (w @ v)
-
-    rk4_on_grid(f, theta_err_0, settings.dt, settings.record_steps,
-                lambda slot, k, v: out.append(v))
+    affine_rk4(theta_err_0, np.zeros_like(theta_err_0), np.zeros_like(w), at, settings.dt,
+               settings.record_steps, lambda k, v: out.append(v))
     return np.array(out)
 
 
@@ -292,9 +289,10 @@ def _c10_drem_monotone():
 
 
 def _rk4_global_error(dt: float) -> float:
-    """Error at t = 1 of the production loop on dy/dt = -y, y(0) = 1."""
+    """Error at t = 1 of the production engine on dy/dt = -y, y(0) = 1."""
     n = SimSettings(t_end=1.0, dt=dt).n_steps
-    y = rk4_on_grid(lambda v, i: -v, np.array([1.0]), dt, [n], lambda slot, k, v: None)
+    y = affine_rk4(np.array([1.0]), np.zeros(1), np.zeros((4 * n, 1)),
+                   np.full((4 * n, 1, 1), -1.0), dt, [n], lambda k, v: None)
     return abs(float(y[0]) - math.exp(-1.0))
 
 

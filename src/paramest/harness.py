@@ -151,15 +151,10 @@ def _csv_header(q: int) -> str:
 
 
 def _write_trajectory_csv(traj: Trajectory, path: str):
-    q = traj.dimension
-    lines = [_csv_header(q)]
-    for i in range(len(traj)):
-        cells = [format_float(traj.times[i])]
-        cells += [format_float(v) for v in traj.estimates[i]]
-        cells += [format_float(traj.err_norms[i]),
-                  format_float(traj.manifold_residuals[i]),
-                  format_float(traj.storage_values[i])]
-        lines.append(",".join(cells))
+    rows = np.column_stack([traj.times, traj.estimates, traj.err_norms,
+                            traj.manifold_residuals, traj.storage_values]).tolist()
+    lines = [_csv_header(traj.dimension)]
+    lines += [",".join(map(format_float, row)) for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

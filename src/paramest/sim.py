@@ -4,14 +4,21 @@ The estimator ODEs are smooth and short-horizon, so a classical fixed-step
 fourth-order Runge-Kutta scheme is used everywhere: runs are deterministic,
 the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
-constant over a step. ``rk4_on_grid`` is the one integration loop; its
-right-hand side gets the stage index 4k + s (stage s of step k), because the
-two midpoint stages share a time but not a filter value. ``simulate`` and the
+constant over a step. ``affine_rk4`` is the one integration loop. Every law
+it integrates is affine in the state, so it reads affine stage tables (c, At)
+at the stage index 4k + s (stage s of step k; the two midpoint stages share a
+time but not a filter value). One classical RK4 step of
+``f(y) = c_s + (y - theta_s) @ At_s`` is exactly
+``y+ = y + (m_k + (y - theta_s) @ N_k)``, so ``step_maps`` folds the four
+stages of every step into one affine step map with batched ``[K, q, q]``
+products, and the loop makes one affine update per step instead of four
+right-hand-side evaluations and the stage sums. ``simulate`` and the
 acceptance criteria integrate through it, and ``rk4_step`` is the independent
 one-step reference the tests pin it to.
 
-``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` steps, so its
-memory is bounded by a chunk and the recorded rows, not by the horizon.
+``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` (512) steps,
+so its memory is bounded by a chunk and the recorded rows, not by the
+horizon; the step maps need no long chunks to amortize their build.
 ``stage_tables`` is that chunk walk: per chunk it samples the regressor on
 the half-step grid and builds the stage tables (a, b) the law of
 ``estimators.LAWS`` reads: (w, g) at each stage time
@@ -21,18 +28,19 @@ does not depend on the estimate. Every law is affine in the estimate, so from
 (a, b) one vectorized call each builds the affine stage tables (c, At) of the
 law expanded at the estimate theta_s the chunk starts from:
 ``law(y, a[i], b[i]) = c[i] + (y - theta_s) @ At[i]``. The estimate alone then
-runs through ``rk4_on_grid`` on that one right-hand side, whatever the
-variant, and is carried with the filter state from chunk to chunk. Expanding
-at theta_s, not at 0, keeps an estimate at rest exactly where the law puts
-it: started at the truth, the unfiltered estimates never move.
+runs through ``affine_rk4`` on those tables, whatever the variant, and is
+carried with the filter state from chunk to chunk. Expanding at theta_s, not
+at 0, and keeping y, not the deviation y - theta_s, as the loop state keeps
+an estimate at rest exactly where the law puts it: started at the truth, the
+unfiltered estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
-their speed-up was measured: At holds q^2 entries per stage (about
-65 kB * q^2 a chunk) for every variant, and the law runs twice over each
-chunk's table, once for c and once for At. At larger q the tables cost
-memory (GE at q = 16: 20 MB a run against 3 MB for a per-stage loop), and
-DREM, whose law is a determinant and adjugate, does twice the per-stage
-loop's work (1.7x its time at q = 16).
+their speed-up was measured: At holds q^2 entries per stage and N q^2 per
+step for every variant, the law runs twice over each chunk's table, once for
+c and once for At, and the map build costs O(q^3) per step. On a sin(k t)
+regressor at q = 16 a GE run peaks at 9 MB (tracemalloc), and DREM, whose
+law is a determinant and adjugate evaluated twice per chunk, takes about
+1.7x the time of a per-stage loop over the law.
 
 Divergence is detected at recording points: any non-finite estimate entry or
 an estimate norm above 1e12 aborts the run with the offending time and
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +65,9 @@ from .signals import MAX_STEPS
 from .types import EstimationProblem, EstimatorConfig, Trajectory
 
 _STATE_NORM_LIMIT = 1e12
-# steps per chunk of the time axis: enough to amortize the vectorized work,
-# small enough that a chunk's tables stay a few hundred kB
-CHUNK_STEPS = 2048
+# steps per chunk of the time axis: enough to vectorize the table and map
+# builds, few enough that a chunk's tables stay near 100 kB at q = 3
+CHUNK_STEPS = 512
 # half-step grid offsets of the four RK4 stages of a step: t_k, t_k + dt/2 twice, t_k + dt
 _STAGE_HALF_STEPS = np.array([0, 1, 1, 2])
 
@@ -110,6 +119,14 @@ class SimSettings:
         """Step indices to record: every record_every-th from 0, plus the last."""
         return list(range(0, self.n_steps, self.record_every)) + [self.n_steps]
 
+    @cached_property
+    def record_times(self) -> np.ndarray:
+        """Times of ``record_steps``: one read-only array, shared by every
+        trajectory ``simulate`` records under these settings."""
+        times = np.array(self.record_steps) * self.dt
+        times.setflags(write=False)
+        return times
+
     def half_step_times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Half-step grid of steps start..stop (default: all): entry 2j is
         t_{start+j}, 2j+1 is t_{start+j} + dt/2, the last is t_stop."""
@@ -149,24 +166,49 @@ def _checked_stage(value, t: float) -> np.ndarray:
     return value
 
 
-def rk4_on_grid(f, y, dt: float, record_ks, record):
-    """Classical RK4 on ``dy/dt = f(y, i)``, ``i = 4k + s`` naming stage s of
-    step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2, stage 3 at t_k + dt).
-    Calls ``record(slot, k, y)`` after each step k of the increasing
-    ``record_ks`` (k = 0 is the initial state) and stops after the last one,
-    or when ``record`` raises. Returns the final state.
+def step_maps(c: np.ndarray, at: np.ndarray, dt: float):
+    """(m, N) of the classical RK4 steps over affine stage tables.
+
+    Stage s of step k reads ``f(y) = c[4k+s] + (y - o) @ at[4k+s]`` (c
+    ``[4K, q]``, at ``[4K, q, q]``, o any expansion point); one RK4 step from
+    y is then exactly ``y + (m[k] + (y - o) @ N[k])``, with m ``[K, q]`` and N
+    ``[K, q, q]`` built for all K steps at once. Stage s is itself affine,
+    ``u_s + (y - o) @ L_s``: u_0 = c_0 and L_0 = A_0, and stage s >= 1 reads
+    the law at ``y + h_s k_{s-1}`` (h_s = dt/2, dt/2, dt), so
+    u_s = c_s + h_s u_{s-1} @ A_s and L_s = A_s + h_s L_{s-1} @ A_s; m and N
+    are the RK4 sums dt/6 (x_0 + 2 x_1 + 2 x_2 + x_3) of the u_s and L_s.
     """
-    half = 0.5 * dt
+    q = c.shape[-1]
+    c = c.reshape(-1, 4, 1, q)
+    at = at.reshape(-1, 4, q, q)
+    u, lin = c[:, 0], at[:, 0]
+    u_sum, lin_sum = u, lin
+    for s, h, weight in ((1, 0.5 * dt, 2.0), (2, 0.5 * dt, 2.0), (3, dt, 1.0)):
+        a = at[:, s]
+        u = c[:, s] + (h * u) @ a
+        lin = a + (h * lin) @ a
+        u_sum, lin_sum = u_sum + weight * u, lin_sum + weight * lin
     sixth = dt / 6.0
+    return sixth * u_sum[:, 0], sixth * lin_sum
+
+
+def affine_rk4(y: np.ndarray, origin: np.ndarray, c: np.ndarray, at: np.ndarray,
+               dt: float, record_ks, record) -> np.ndarray:
+    """Classical RK4 from y on ``dy/dt = c[i] + (y - origin) @ at[i]``, i = 4k + s
+    naming stage s of step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2,
+    stage 3 at t_k + dt), one affine step map per step (``step_maps``).
+    Calls ``record(k, y)`` after each step k of the increasing ``record_ks``
+    (k = 0 is the initial state) and stops after the last one, or when
+    ``record`` raises. Returns the final state.
+    """
+    m, n = step_maps(c, at, dt)
     done = 0
-    for slot, k in enumerate(record_ks):
-        for i in range(4 * done, 4 * k, 4):
-            k1 = f(y, i)
-            k2 = f(y + half * k1, i + 1)
-            k3 = f(y + half * k2, i + 2)
-            k4 = f(y + dt * k3, i + 3)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        record(slot, k, y)
+    for k in record_ks:
+        for j in range(done, k):
+            # y - origin is exactly 0 while y rests at the expansion point, so
+            # an estimate at rest moves only by m[j], to the bit
+            y = y + (m[j] + (y - origin).dot(n[j]))
+        record(k, y)
         done = k
     return y
 
@@ -232,8 +274,8 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     dt, n, every = settings.dt, settings.n_steps, settings.record_every
     tau, mu = config.tau, config.mu
     law = LAWS[variant]
-    record_ks = np.append(np.arange(0, n, every), n)
-    estimates = np.empty((len(record_ks), q))
+    times = settings.record_times
+    estimates = np.empty((len(times), q))
 
     def record(k: int, yk: np.ndarray):
         if k % every and k != n:
@@ -251,16 +293,10 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
 
     for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
         c, at = _affine_tables(law, theta_s, a, b, tau, mu)
-
-        def f(y, i):
-            # y - theta_s is exactly 0 until the estimate moves, so an estimate
-            # at rest stays where the law keeps it, to the bit
-            return c[i] + (y - theta_s).dot(at[i])
-
         first = 0 if start == 0 else (start // every + 1) * every
         stops = [*range(first - start, stop - start, every), stop - start]
-        theta_s = rk4_on_grid(f, theta_s, dt, stops,
-                              lambda slot, k, y: record(start + k, y))
+        theta_s = affine_rk4(theta_s, theta_s, c, at, dt, stops,
+                             lambda k, y: record(start + k, y))
         # release this chunk's tables before the next chunk's are built
         del a, b, c, at
 
@@ -270,8 +306,8 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     if q >= 2:
         residuals = manifold_residual(terr, mu)
     else:
-        residuals = np.full(len(record_ks), np.nan)
-    return Trajectory(times=record_ks * dt, estimates=estimates,
+        residuals = np.full(len(times), np.nan)
+    return Trajectory(times=times, estimates=estimates,
                       err_norms=err_norms, manifold_residuals=residuals,
                       storage_values=storage(residuals))
 

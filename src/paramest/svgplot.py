@@ -9,7 +9,7 @@ counts are directly inspectable. Colors cycle per estimator.
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class _Panel:
         return b["y1"] - (y - self.ylo) / (self.yhi - self.ylo) * (b["y1"] - b["y0"])
 
     def polyline(self, xs, ys, color, dash=None, width=1.2):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}"
+                       for x, y in zip(self.px(xs).tolist(), self.py(ys).tolist()))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
                 f'{dash_attr} points="{pts}"/>')
@@ -79,10 +80,10 @@ class _Panel:
                          f'text-anchor="end" fill="#333">{yv:.4g}</text>')
         xm = 0.5 * (b["x0"] + b["x1"])
         parts.append(f'<text x="{xm}" y="{b["y1"] + 34}" font-size="12" '
-                     f'text-anchor="middle" fill="#111">{escape(xlabel)}</text>')
+                     f'text-anchor="middle" fill="#111">{escape(xlabel, quote=False)}</text>')
         parts.append(f'<text x="18" y="{0.5 * (b["y0"] + b["y1"])}" font-size="12" '
                      f'text-anchor="middle" fill="#111" transform="rotate(-90 18 '
-                     f'{0.5 * (b["y0"] + b["y1"])})">{escape(ylabel)}</text>')
+                     f'{0.5 * (b["y0"] + b["y1"])})">{escape(ylabel, quote=False)}</text>')
         return parts
 
 
@@ -124,10 +125,10 @@ def emit_plot(result, path: str) -> str:
         legend.append(f'<line x1="{lx}" y1="{ly + 5}" x2="{lx + 24}" y2="{ly + 5}" '
                       f'stroke="{color}" stroke-width="2"/>')
         legend.append(f'<text x="{lx + 30}" y="{ly + 9}" font-size="12" '
-                      f'fill="#111">{escape(run.label)}</text>')
+                      f'fill="#111">{escape(run.label, quote=False)}</text>')
         ly += 17
 
-    title = escape(result.config.name)
+    title = escape(result.config.name, quote=False)
     doc = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paramest.catalog import BUILTIN_NAMES, builtin, builtin_estimators, builtin_t_end
 from paramest.errors import ConfigurationError, DivergenceError
@@ -11,10 +12,11 @@ from paramest.signals import MAX_STEPS, RegressorSpec, regressor_from_strings
 from paramest.sim import (
     CHUNK_STEPS,
     SimSettings,
+    affine_rk4,
     convergence_time,
-    rk4_on_grid,
     rk4_step,
     simulate,
+    step_maps,
 )
 from paramest.types import (
     EstimationProblem,
@@ -119,42 +121,59 @@ class TestRk4Step:
             rk4_step(lambda t, v: v, 0.0, np.array([1.0]), 0.0)
 
 
-class TestRk4OnGrid:
+def decay_tables(n_steps, q=1):
+    """Affine stage tables (c, At) of dy/dt = -y over n_steps steps."""
+    return np.zeros((4 * n_steps, q)), np.tile(-np.eye(q), (4 * n_steps, 1, 1))
+
+
+class TestAffineRk4:
     def test_records_exactly_the_requested_steps(self):
-        calls, records = [], []
-
-        def f(y, i):
-            calls.append(i)
-            return -y
-
-        rk4_on_grid(f, np.array([1.0]), 0.1, [0, 3, 6, 7],
-                    lambda slot, k, y: records.append((slot, k)))
-        assert records == [(0, 0), (1, 3), (2, 6), (3, 7)]
-        assert calls == list(range(4 * 7))  # stage s of step k is 4k + s
+        records = []
+        c, at = decay_tables(7)
+        affine_rk4(np.array([1.0]), np.zeros(1), c, at, 0.1, [0, 3, 6, 7],
+                   lambda k, y: records.append(k))
+        assert records == [0, 3, 6, 7]
 
     def test_matches_repeated_rk4_step(self):
         dt, states = 0.01, []
-        rk4_on_grid(lambda y, i: -y, np.array([1.0, -2.0]), dt, range(101),
-                    lambda slot, k, y: states.append(y))
+        c, at = decay_tables(100, q=2)
+        affine_rk4(np.array([1.0, -2.0]), np.zeros(2), c, at, dt, range(101),
+                   lambda k, y: states.append(y))
         y = np.array([1.0, -2.0])
         for k in range(101):
             assert np.max(np.abs(states[k] - y)) <= 1e-15
             y = rk4_step(lambda t, v: -v, k * dt, y, dt)
 
     def test_raising_record_stops_the_loop(self):
-        calls = []
+        records = []
 
-        def f(y, i):
-            calls.append(i)
-            return -y
-
-        def record(slot, k, y):
+        def record(k, y):
+            records.append(k)
             if k == 5:
                 raise DivergenceError("stop")
 
-        with pytest.raises(DivergenceError):
-            rk4_on_grid(f, np.array([1.0]), 0.1, range(0, 11), record)
-        assert len(calls) == 4 * 5 and max(calls) == 4 * 5 - 1
+        c, at = decay_tables(10)
+        with pytest.raises(DivergenceError, match="stop"):
+            affine_rk4(np.array([1.0]), np.zeros(1), c, at, 0.1, range(0, 11), record)
+        assert records == [0, 1, 2, 3, 4, 5]
+
+    @given(q=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           dt=st.floats(1e-3, 0.5))
+    def test_step_map_is_one_rk4_step_of_the_affine_law(self, q, seed, dt):
+        rng = np.random.default_rng(seed)
+        c, at = rng.normal(size=(4, q)), rng.normal(size=(4, q, q))
+        origin, y = rng.normal(size=q), rng.normal(size=q)
+        m, n = step_maps(c, at, dt)
+        stage = iter(range(4))
+
+        def rhs(t, v):  # stages are called in order, stage s at call s
+            i = next(stage)
+            return c[i] + (v - origin) @ at[i]
+
+        ref = rk4_step(rhs, 0.0, y, dt)
+        out = y + (m[0] + (y - origin) @ n[0])
+        assert m.shape == (1, q) and n.shape == (1, q, q)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestSimulate:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +70,15 @@ class TestSvg:
                                              mu=0.95, label="a<b&c")]
         _, _, text = render(tmp_path, config, "esc.svg")
         assert "a&lt;b&amp;c" in text
+
+
+def test_package_import_leaves_out_the_network_stack():
+    # xml.sax.saxutils pulls in urllib.request, http.client and ssl, several MB
+    # of resident memory that nothing in the package uses
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, paramest; "
+            "print(sorted({'ssl', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
