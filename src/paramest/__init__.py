@@ -56,7 +56,6 @@ from .types import (
     EstimatorState,
     Trajectory,
     Variant,
-    error_vector,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,9 +42,9 @@ regressor at q = 16 a GE run peaks at 9 MB (tracemalloc), and DREM, whose
 law is a determinant and adjugate evaluated twice per chunk, takes about
 1.7x the time of a per-stage loop over the law.
 
-Divergence is detected at recording points: any non-finite estimate entry or
-an estimate norm above 1e12 aborts the run with the offending time and
-component.
+Divergence is detected after every step, checked once per chunk on the
+states ``affine_rk4`` returns: the first step with a non-finite estimate entry
+or an estimate norm above 1e12 aborts the run with its time and component.
 Error norms and manifold diagnostics are computed from the recorded
 estimates after the loop.
 """
@@ -193,24 +193,25 @@ def step_maps(c: np.ndarray, at: np.ndarray, dt: float):
 
 
 def affine_rk4(y: np.ndarray, origin: np.ndarray, c: np.ndarray, at: np.ndarray,
-               dt: float, record_ks, record) -> np.ndarray:
+               dt: float) -> np.ndarray:
     """Classical RK4 from y on ``dy/dt = c[i] + (y - origin) @ at[i]``, i = 4k + s
     naming stage s of step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2,
     stage 3 at t_k + dt), one affine step map per step (``step_maps``).
-    Calls ``record(k, y)`` after each step k of the increasing ``record_ks``
-    (k = 0 is the initial state) and stops after the last one, or when
-    ``record`` raises. Returns the final state.
+    Returns the states ``[K + 1, q]`` of the K = len(c) / 4 steps: row k is
+    the state after k steps, row 0 is y. Overflow and invalid-value warnings
+    are silenced: a state that leaves its bounds shows as inf or nan in the
+    rows, for the caller to find.
     """
-    m, n = step_maps(c, at, dt)
-    done = 0
-    for k in record_ks:
-        for j in range(done, k):
+    ys = np.empty((len(c) // 4 + 1, len(y)))
+    ys[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, n = step_maps(c, at, dt)
+        for j in range(len(m)):
             # y - origin is exactly 0 while y rests at the expansion point, so
             # an estimate at rest moves only by m[j], to the bit
             y = y + (m[j] + (y - origin).dot(n[j]))
-        record(k, y)
-        done = k
-    return y
+            ys[j + 1] = y
+    return ys
 
 
 def _sampled(problem: EstimationProblem, settings: SimSettings, start: int, stop: int):
@@ -271,34 +272,32 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     state0 = config.initial_state(q)
     theta_s = state0.theta_hat
     variant = config.variant
-    dt, n, every = settings.dt, settings.n_steps, settings.record_every
+    dt = settings.dt
     tau, mu = config.tau, config.mu
     law = LAWS[variant]
     times = settings.record_times
+    ks = np.array(settings.record_steps)
     estimates = np.empty((len(times), q))
-
-    def record(k: int, yk: np.ndarray):
-        if k % every and k != n:
-            return  # a chunk end between recorded steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            bounded = np.all(np.isfinite(yk)) and float(yk @ yk) <= _STATE_NORM_LIMIT ** 2
-        if not bounded:
-            nonfin = np.nonzero(~np.isfinite(yk))[0]
-            comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(yk)))
-            raise DivergenceError(
-                f"state diverged by t={k * dt} (component {comp}, "
-                f"variant {variant.value}, dt={dt})"
-            )
-        estimates[-(-k // every)] = yk
-
     for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
         c, at = _affine_tables(law, theta_s, a, b, tau, mu)
-        first = 0 if start == 0 else (start // every + 1) * every
-        stops = [*range(first - start, stop - start, every), stop - start]
-        theta_s = affine_rk4(theta_s, theta_s, c, at, dt, stops,
-                             lambda k, y: record(start + k, y))
+        ys = affine_rk4(theta_s, theta_s, c, at, dt)
         # release this chunk's tables before the next chunk's are built
         del a, b, c, at
+        # the squared norm of a row holding inf or nan is inf or nan, so it
+        # fails the bound as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2
+        if not bounded.all():
+            j = int(np.argmin(bounded))
+            nonfin = np.nonzero(~np.isfinite(ys[j]))[0]
+            comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(ys[j])))
+            raise DivergenceError(
+                f"state diverged by t={(start + j) * dt} (component {comp}, "
+                f"variant {variant.value}, dt={dt})"
+            )
+        lo, hi = np.searchsorted(ks, [start, stop + 1])
+        estimates[lo:hi] = ys[ks[lo:hi] - start]
+        theta_s = ys[-1]
 
     terr = problem.true_params - estimates
     # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i

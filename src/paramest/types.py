@@ -66,10 +66,6 @@ class EstimationProblem:
     def dimension(self) -> int:
         return self.regressor.dimension
 
-    def output(self, t: float) -> float:
-        """Measured scalar g(t) = w(t)^T theta."""
-        return float(self.regressor.evaluate(t) @ self.true_params)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -135,16 +131,6 @@ class EstimatorState:
 
     def __post_init__(self):
         self.theta_hat = np.asarray(self.theta_hat, dtype=float)
-
-
-def error_vector(problem: EstimationProblem, state: EstimatorState) -> np.ndarray:
-    """Parameter error theta - theta_hat."""
-    if state.theta_hat.shape != problem.true_params.shape:
-        raise ConfigurationError(
-            f"estimate length {state.theta_hat.shape} does not match problem "
-            f"dimension {problem.true_params.shape}"
-        )
-    return problem.true_params - state.theta_hat
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -44,16 +45,25 @@ class TestRun:
         assert main(["run", "--scenario", "nosuch"]) == 1
         assert "nosuch" in capsys.readouterr().err
 
-    def test_divergent_run_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tau,settings", [
+        (1e9, {"t_end": 1.0}),
+        (1e7, {"t_end": 3.0, "record_every": 100}),
+    ], ids=["tau1e9", "record_every100"])
+    def test_divergent_run_exits_2(self, tmp_path, capsys, tau, settings):
         doc = {
             "problem": {"regressor": ["1"], "true_params": [1]},
-            "estimators": [{"variant": "GE", "tau": 1e9}],
-            "settings": {"t_end": 1.0},
+            "estimators": [{"variant": "GE", "tau": tau}],
+            "settings": settings,
         }
         cfg = tmp_path / "hot.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "diverged" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        # the first step leaves the bound and is the one named
+        assert len(err.splitlines()) == 1
+        assert "diverged by t=0.001 " in err and "Warning" not in err
 
     @pytest.mark.parametrize("field,patch", [
         ("variant", {"estimators": [{"variant": "XX"}]}),

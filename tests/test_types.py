@@ -1,67 +1,17 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from paramest.errors import ConfigurationError
 from paramest.signals import regressor_from_strings
 from paramest.types import (
     EstimationProblem,
     EstimatorConfig,
-    EstimatorState,
     Trajectory,
     Variant,
-    error_vector,
 )
 
 
-def problem_2d(theta=(-2.0, 2.0)):
-    return EstimationProblem(regressor_from_strings(["1", "sin(t)"]),
-                             np.asarray(theta, dtype=float))
-
-
-class TestErrorVector:
-    def test_identity_case(self):
-        p = problem_2d()
-        s = EstimatorState(theta_hat=np.array([-2.0, 2.0]))
-        assert np.array_equal(error_vector(p, s), [0.0, 0.0])
-
-    def test_zero_estimate(self):
-        p = problem_2d()
-        s = EstimatorState(theta_hat=np.array([0.0, 0.0]))
-        assert np.array_equal(error_vector(p, s), [-2.0, 2.0])
-
-    def test_componentwise(self):
-        p = EstimationProblem(regressor_from_strings(["1", "t", "sin(t)"]),
-                              np.array([1.0, 2.0, 3.0]))
-        s = EstimatorState(theta_hat=np.array([1.0, 2.0, 0.0]))
-        assert np.array_equal(error_vector(p, s), [0.0, 0.0, 3.0])
-
-    def test_dimension_mismatch(self):
-        p = problem_2d()
-        with pytest.raises(ConfigurationError):
-            error_vector(p, EstimatorState(theta_hat=np.zeros(3)))
-
-    @given(hnp.arrays(np.float64, 2, elements=st.floats(-1e6, 1e6)),
-           hnp.arrays(np.float64, 2, elements=st.floats(-1e6, 1e6)))
-    def test_error_plus_estimate_recovers_truth(self, theta, theta_hat):
-        p = problem_2d(theta)
-        s = EstimatorState(theta_hat=theta_hat)
-        back = error_vector(p, s) + s.theta_hat
-        for b, a, bh in zip(back, theta, theta_hat):
-            tol = math.ulp(max(abs(a), abs(bh), abs(a - bh)))
-            assert abs(b - a) <= tol
-
-
 class TestProblem:
-    def test_output_is_regression(self):
-        p = problem_2d()
-        assert p.output(0.0) == pytest.approx(-2.0)
-        t = 1.3
-        assert p.output(t) == pytest.approx(-2.0 + 2.0 * math.sin(t))
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             EstimationProblem(regressor_from_strings(["1", "t"]), np.zeros(3))
