@@ -17,6 +17,9 @@ class TestList:
 
 
 class TestRun:
+    UNIT = {"regressor": ["1"], "true_params": [1]}
+    OVERFLOWING = {"regressor": ["exp(1000*t)", "1"], "true_params": [1, 2]}
+
     def test_builtin_writes_csv_and_svg(self, tmp_path, capsys):
         code = main(["run", "--scenario", "example1", "--t-end", "2",
                      "--out", str(tmp_path)])
@@ -45,25 +48,26 @@ class TestRun:
         assert main(["run", "--scenario", "nosuch"]) == 1
         assert "nosuch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tau,settings", [
-        (1e9, {"t_end": 1.0}),
-        (1e7, {"t_end": 3.0, "record_every": 100}),
-    ], ids=["tau1e9", "record_every100"])
-    def test_divergent_run_exits_2(self, tmp_path, capsys, tau, settings):
-        doc = {
-            "problem": {"regressor": ["1"], "true_params": [1]},
-            "estimators": [{"variant": "GE", "tau": tau}],
-            "settings": settings,
-        }
+    @pytest.mark.parametrize("problem,estimator,settings,t", [
+        (UNIT, {"variant": "GE", "tau": 1e9}, {"t_end": 1.0}, "0.001"),
+        (UNIT, {"variant": "GE", "tau": 1e7}, {"t_end": 3.0, "record_every": 100}, "0.001"),
+        # the regressor overflows, and the chunk's tables hold inf and nan
+        # from there on
+        (OVERFLOWING, {"variant": "MRE", "tau": 1}, {"t_end": 3.0}, "0.011"),
+        (OVERFLOWING, {"variant": "GE", "tau": 1}, {"t_end": 3.0}, "0.007"),
+        (OVERFLOWING, {"variant": "DREM", "tau": 1}, {"t_end": 3.0}, "0.011"),
+    ], ids=["tau1e9", "record_every100", "overflow-MRE", "overflow-GE", "overflow-DREM"])
+    def test_divergent_run_exits_2(self, tmp_path, capsys, problem, estimator, settings, t):
+        doc = {"problem": problem, "estimators": [estimator], "settings": settings}
         cfg = tmp_path / "hot.json"
         cfg.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        # the first step leaves the bound and is the one named
+        # the first step past the bound is the one named
         assert len(err.splitlines()) == 1
-        assert "diverged by t=0.001 " in err and "Warning" not in err
+        assert f"diverged by t={t} " in err and "Warning" not in err
 
     @pytest.mark.parametrize("field,patch", [
         ("variant", {"estimators": [{"variant": "XX"}]}),

@@ -143,6 +143,47 @@ class TestAffineRk4:
             assert np.max(np.abs(states[k] - y)) <= 1e-15
             y = rk4_step(lambda t, v: -v, k * dt, y, dt)
 
+    def test_overflowing_block_product_keeps_a_state_at_zero(self):
+        # component 0 starts at 0 and each step maps it to about 4e16 times
+        # itself, so it stays 0, while a product of 19 such steps overflows:
+        # 0 * inf must not turn the rows into nan
+        n_steps = 512
+        c = np.zeros((4 * n_steps, 2))
+        at = np.tile(np.diag([-4e7, -1.0]), (4 * n_steps, 1, 1))
+        ys = affine_rk4(np.array([0.0, 1.0]), np.zeros(2), c, at, 1e-3)
+        assert ys.shape == (n_steps + 1, 2) and np.all(np.isfinite(ys))
+        assert np.all(ys[:, 0] == 0.0)
+        assert ys[-1, 1] == pytest.approx(math.exp(-n_steps * 1e-3), rel=1e-12)
+
+    @given(q=st.integers(1, 3), n_steps=st.integers(1, 600),
+           seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-3, 0.1), at_rest=st.booleans())
+    def test_matches_the_per_step_update(self, q, n_steps, seed, dt, at_rest):
+        # random stable tables over horizons that end anywhere in a block;
+        # at rest, y starts at the origin and the first steps' m_k, scaled
+        # through c (m_k is linear in it), lie below half an ulp of it: the
+        # per-step update keeps y there, though two of them add up to an ulp
+        rng = np.random.default_rng(seed)
+        origin = rng.uniform(1.0, 4.0, size=q) * rng.choice([-1.0, 1.0], size=q)
+        c = rng.normal(size=(4 * n_steps, q))
+        at = -np.eye(q) + 0.3 * rng.normal(size=(4 * n_steps, q, q))
+        if at_rest:
+            y = origin.copy()
+            rest = rng.integers(0, n_steps + 1)
+            m, _ = step_maps(c[:4 * rest], at[:4 * rest], dt)
+            scale = 0.4 * np.min(np.spacing(np.abs(origin))) / np.max(np.abs(m), axis=1)
+            c[:4 * rest] *= np.repeat(scale, 4)[:, None]
+        else:
+            y = origin + rng.normal(size=q)
+        m, n = step_maps(c, at, dt)
+        ref = [y]
+        for m_k, n_k in zip(m, n):
+            ref.append(ref[-1] + (m_k + (ref[-1] - origin) @ n_k))
+        ref = np.array(ref)
+        ys = affine_rk4(y, origin, c, at, dt)
+        rests = np.all(ref == origin, axis=1)
+        assert np.all(ys[rests] == origin)
+        np.testing.assert_allclose(ys, ref, rtol=1e-12, atol=1e-12)
+
     @given(q=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
            dt=st.floats(1e-3, 0.5))
     def test_step_map_is_one_rk4_step_of_the_affine_law(self, q, seed, dt):
