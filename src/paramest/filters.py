@@ -47,9 +47,6 @@ class FilterState:
         """All entries set to one scalar; zero is the default startup state."""
         return cls(np.full((q, q), float(value)), np.full(q, float(value)))
 
-    def copy(self) -> "FilterState":
-        return FilterState(self.omega_ext.copy(), self.g_ext.copy())
-
 
 def filter_law(omega_ext: np.ndarray, g_ext: np.ndarray, w: np.ndarray, g):
     """(dOmega/dt, dG/dt) = (w w^T - Omega, w g - G) for instantaneous (w, g),

@@ -5,21 +5,22 @@ fourth-order Runge-Kutta scheme is used everywhere: runs are deterministic,
 the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
 constant over a step. ``affine_rk4`` is the one integration engine. Every
-law it integrates is affine in the state, so it reads affine stage tables (c, At)
-at the stage index 4k + s (stage s of step k; the two midpoint stages share a
-time but not a filter value). One classical RK4 step of
-``f(y) = c_s + (y - theta_s) @ At_s`` is exactly
-``y+ = y + (m_k + (y - theta_s) @ N_k)``, so ``step_maps`` folds the four
-stages of every step into one affine step map with batched ``[K, q, q]``
-products. The maps compose associatively, so ``affine_rk4`` runs them as a
-blocked scan (Blelloch 1990, "Prefix sums and their applications"): about
-sqrt(K) batched products and two short loops per chunk of K steps, instead
-of four right-hand-side evaluations and the stage sums per step. Its states
-match the per-step update to rounding (at most 5.3e-13 over the builtin
-runs), an estimate at rest stays there to the bit, and a chunk whose scan
-is not finite falls back to the per-step update. ``simulate`` and the
-acceptance criteria integrate through it, and ``rk4_step`` is the
-independent one-step reference the tests pin it to.
+law it integrates is affine in the state, so it reads one affine stage table
+f ``[4K, q + 1, q]`` at the stage index 4k + s (stage s of step k; the two
+midpoint stages share a time but not a filter value): rows ``:q`` of f[i]
+are the law's linear part and row q its value at the expansion point
+theta_s, ``law(y) = [y - theta_s, 1] @ f[i]``. One classical RK4 step of
+that law is exactly ``y+ = y + [y - theta_s, 1] @ d[k]``, and ``step_maps``
+builds the step table d ``[K, q + 1, q]`` with batched products. The maps
+compose associatively, so ``affine_rk4`` runs them as a blocked scan
+(Blelloch 1990, "Prefix sums and their applications"): about sqrt(K)
+batched products and two short loops per chunk of K steps, instead of four
+right-hand-side evaluations and the stage sums per step. Its states match
+the per-step update to rounding (at most 5.3e-13 over the builtin runs), an
+estimate at rest stays there to the bit, and a chunk whose scan is not
+finite falls back to the per-step update. ``simulate`` and the acceptance
+criteria integrate through it, and ``rk4_step`` is the independent one-step
+reference the tests pin it to.
 
 ``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` (512) steps,
 so its memory is bounded by a chunk and the recorded rows, not by the
@@ -29,11 +30,11 @@ the half-step grid and builds the stage tables (a, b) the law of
 ``estimators.LAWS`` reads: (w, g) at each stage time
 for GE/MGE, and for the filtered variants the (Omega, G) stage values that
 ``filters.filter_scan`` computes for the whole chunk at once, since the filter
-does not depend on the estimate. Every law is affine in the estimate, so from
-(a, b) one vectorized call each builds the affine stage tables (c, At) of the
-law expanded at the estimate theta_s the chunk starts from:
-``law(y, a[i], b[i]) = c[i] + (y - theta_s) @ At[i]``. The estimate alone then
-runs through ``affine_rk4`` on those tables, whatever the variant, and is
+does not depend on the estimate. Every law is affine in the estimate, so one
+vectorized call of the law at the q + 1 points [e_1 ... e_q, theta_s] builds
+the affine stage table f of the law expanded at the estimate theta_s the
+chunk starts from (``_affine_tables``). The estimate alone then
+runs through ``affine_rk4`` on that table, whatever the variant, and is
 carried with the filter state from chunk to chunk. Expanding at theta_s, not
 at 0, keeps an estimate at rest exactly where the law puts it: y - theta_s
 is exactly 0 until the estimate moves, and ``affine_rk4`` holds y at theta_s
@@ -41,12 +42,11 @@ to the bit until a step would move it. Started at the truth, the
 unfiltered estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
-their speed-up was measured: At holds q^2 entries per stage and N q^2 per
-step for every variant, the law runs twice over each chunk's table, once for
-c and once for At, and the map build costs O(q^3) per step. On a sin(k t)
-regressor at q = 16 a GE run peaks at 9 MB (tracemalloc), and DREM, whose
-law is a determinant and adjugate evaluated twice per chunk, takes about
-1.7x the time of a per-stage loop over the law.
+their speed-up was measured: f holds q^2 + q entries per stage and d as many
+per step for every variant, the law runs over q + 1 points per stage, and
+the map build costs O(q^3) per step. On a sin(k t) regressor at q = 16 a
+GE run peaks at 9.4 MB (tracemalloc), and DREM spends its 26 s over
+t_end = 5 in the determinant and adjugate of its one law call per chunk.
 
 Divergence is detected after every step, checked once per chunk on the
 states ``affine_rk4`` returns: the first step with a non-finite estimate entry
@@ -174,45 +174,42 @@ def _checked_stage(value, t: float) -> np.ndarray:
     return value
 
 
-def step_maps(c: np.ndarray, at: np.ndarray, dt: float):
-    """(m, N) of the classical RK4 steps over affine stage tables.
+def step_maps(f: np.ndarray, dt: float) -> np.ndarray:
+    """The classical RK4 steps over the affine stage table f, as one step
+    table d ``[K, q + 1, q]``.
 
-    Stage s of step k reads ``f(y) = c[4k+s] + (y - o) @ at[4k+s]`` (c
-    ``[4K, q]``, at ``[4K, q, q]``, o any expansion point); one RK4 step from
-    y is then exactly ``y + (m[k] + (y - o) @ N[k])``, with m ``[K, q]`` and N
-    ``[K, q, q]`` built for all K steps at once. Stage s is itself affine,
-    ``u_s + (y - o) @ L_s``: u_0 = c_0 and L_0 = A_0, and stage s >= 1 reads
-    the law at ``y + h_s k_{s-1}`` (h_s = dt/2, dt/2, dt), so
-    u_s = c_s + h_s u_{s-1} @ A_s and L_s = A_s + h_s L_{s-1} @ A_s; m and N
-    are the RK4 sums dt/6 (x_0 + 2 x_1 + 2 x_2 + x_3) of the u_s and L_s.
+    Stage s of step k reads ``law(y) = [y - o, 1] @ f[4k+s]`` (f
+    ``[4K, q + 1, q]``, o any expansion point): rows ``:q`` of f[i] are the
+    law's linear part and row q its value at o. One RK4 step from y is then
+    exactly ``y + [y - o, 1] @ d[k]``, built for all K steps at once. Stage s
+    is itself affine in y, ``[y - o, 1] @ G_s``: G_0 = F_0, and stage s >= 1
+    reads the law at ``y + h_s k_{s-1}`` (h_s = dt/2, dt/2, dt), so
+    ``G_s = F_s + (h_s G_{s-1}) @ F_s[:q]``; d is the RK4 sum
+    dt/6 (G_0 + 2 G_1 + 2 G_2 + G_3).
     """
-    q = c.shape[-1]
-    c = c.reshape(-1, 4, 1, q)
-    at = at.reshape(-1, 4, q, q)
-    u, lin = c[:, 0], at[:, 0]
-    u_sum, lin_sum = u, lin
+    q = f.shape[-1]
+    f = f.reshape(-1, 4, q + 1, q)
+    g = g_sum = f[:, 0]
     for s, h, weight in ((1, 0.5 * dt, 2.0), (2, 0.5 * dt, 2.0), (3, dt, 1.0)):
-        a = at[:, s]
-        u = c[:, s] + (h * u) @ a
-        lin = a + (h * lin) @ a
-        u_sum, lin_sum = u_sum + weight * u, lin_sum + weight * lin
-    sixth = dt / 6.0
-    return sixth * u_sum[:, 0], sixth * lin_sum
+        g = f[:, s] + (h * g) @ f[:, s, :q]
+        g_sum = g_sum + weight * g
+    return (dt / 6.0) * g_sum
 
 
-def affine_rk4(y: np.ndarray, origin: np.ndarray, c: np.ndarray, at: np.ndarray,
+def affine_rk4(y: np.ndarray, origin: np.ndarray, f: np.ndarray,
                dt: float) -> np.ndarray:
-    """Classical RK4 from y on ``dy/dt = c[i] + (y - origin) @ at[i]``, i = 4k + s
+    """Classical RK4 from y on ``dy/dt = [y - origin, 1] @ f[i]``, i = 4k + s
     naming stage s of step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2,
     stage 3 at t_k + dt), one affine step map per step (``step_maps``).
-    Returns the states ``[K + 1, q]`` of the K = len(c) / 4 steps: row k is
+    Returns the states ``[K + 1, q]`` of the K = len(f) / 4 steps: row k is
     the state after k steps, row 0 is y. Overflow and invalid-value warnings
     are silenced: a state that leaves its bounds shows as inf or nan in the
     rows, for the caller to find.
 
-    The steps run as a blocked scan of the maps ``z+ = z + m_k + z @ N_k``
-    of z = y - origin (``_scan``), not one at a time. The rows agree with the
-    per-step update ``y+ = y + (m_k + (y - origin) @ N_k)`` (``_step_loop``)
+    The step tables d hold m_k = d[k, q] and N_k = d[k, :q], and the steps
+    run as a blocked scan of the maps ``z+ = z + m_k + z @ N_k`` of
+    z = y - origin (``_scan``). The rows agree with the per-step update
+    ``y+ = y + (m_k + (y - origin) @ N_k)`` (``_step_loop``)
     to rounding, not to the bit: over the 12 builtin runs the largest gap is
     5.3e-13 (example5 MGE_MRE). Two things are exact. A y at rest at the
     origin stays there, to the bit, until the first step the per-step update
@@ -224,50 +221,49 @@ def affine_rk4(y: np.ndarray, origin: np.ndarray, c: np.ndarray, at: np.ndarray,
     that overflows on a component the state does not hold cannot turn
     ``0 * inf`` into a false nan.
     """
-    ys = np.empty((len(c) // 4 + 1, len(y)))
+    ys = np.empty((len(f) // 4 + 1, len(y)))
     ys[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        m, n = step_maps(c, at, dt)
+        d = step_maps(f, dt)
         start = 0
         if np.array_equal(y, origin):
             # a step moves y off the origin when origin + m_k rounds to a
             # new value, or when 0 @ N_k is nan
-            moves = ((origin + m != origin).any(axis=1)
-                     | ~np.isfinite(n).all(axis=(1, 2)))
+            moves = ((origin + d[:, -1] != origin).any(axis=1)
+                     | ~np.isfinite(d[:, :-1]).all(axis=(1, 2)))
             if not moves.any():
                 ys[1:] = origin
                 return ys
             start = int(np.argmax(moves))
             ys[1:start + 1] = origin
-            _step_loop(ys, m[start:start + 1], n[start:start + 1], origin, start)
+            _step_loop(ys, d[start:start + 1], origin, start)
             start += 1
-        if start < len(m):
-            ys[start + 1:] = origin + _scan(ys[start] - origin, m[start:], n[start:])
+        if start < len(d):
+            ys[start + 1:] = origin + _scan(ys[start] - origin, d[start:])
             if not np.isfinite(ys[start + 1:]).all():
-                _step_loop(ys, m[start:], n[start:], origin, start)
+                _step_loop(ys, d[start:], origin, start)
     return ys
 
 
-def _step_loop(ys: np.ndarray, m: np.ndarray, n: np.ndarray, origin: np.ndarray,
-               start: int) -> None:
-    """Apply the step maps one at a time from row ``start`` of ys, filling
-    rows start + 1 to start + len(m)."""
+def _step_loop(ys: np.ndarray, d: np.ndarray, origin: np.ndarray, start: int) -> None:
+    """Apply the step maps d one at a time from row ``start`` of ys, filling
+    rows start + 1 to start + len(d)."""
     y = ys[start]
-    for j in range(len(m)):
+    for j in range(len(d)):
         # y - origin is exactly 0 while y rests at the expansion point, so
-        # an estimate at rest moves only by m[j], to the bit
-        y = y + (m[j] + (y - origin).dot(n[j]))
+        # an estimate at rest moves only by m_j, to the bit
+        y = y + (d[j, -1] + (y - origin).dot(d[j, :-1]))
         ys[start + j + 1] = y
 
 
-def _scan(z: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """z after each of the K affine maps ``z+ = z + m_k + z @ N_k`` from z,
+def _scan(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """z after each of the K affine maps ``z+ = z + [z, 1] @ d[k]`` from z,
     ``[K, q]``, as a two-level blocked scan.
 
-    In homogeneous coordinates [z, 1] each map is the matrix I + D_k, with D_k
-    holding N_k in its top q rows and m_k in its last row. The K maps are
-    split into blocks of about sqrt(K). One loop over the position i in a
-    block builds, for all blocks at once, the prefix products
+    In homogeneous coordinates [z, 1] each map is the square matrix I + D_k,
+    D_k holding d[k] in its first q columns and 0 in its last. The K maps
+    are split into blocks of about sqrt(K). One loop over the position i in
+    a block builds, for all blocks at once, the prefix products
     ``I + Q_i = (I + D_0) ... (I + D_i)`` in the form
     ``Q_i = Q_{i-1} + D_i + Q_{i-1} @ D_i``, which keeps the small N_k apart
     from the identity; the top rows of I + Q_i are the prefix product P_i of
@@ -275,24 +271,23 @@ def _scan(z: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     state z_b over the block starts, and every row is then
     ``z_b @ P_i + S_i = z_b + z_b @ Q_i`` at once.
     """
-    k, q = m.shape
+    k, q = len(d), d.shape[-1]
     size = math.isqrt(k - 1) + 1  # ceil(sqrt(K)): blocks of ~sqrt(K) steps
     n_blocks = -(-k // size)
     # the padded steps are identity maps, D = 0
-    d = np.zeros((n_blocks * size, q + 1, q + 1))
-    d[:k, :q, :q] = n
-    d[:k, q, :q] = m
-    d = d.reshape(n_blocks, size, q + 1, q + 1)
+    sq = np.zeros((n_blocks * size, q + 1, q + 1))
+    sq[:k, :, :q] = d
+    sq = sq.reshape(n_blocks, size, q + 1, q + 1)
     for i in range(1, size):
-        prod = d[:, i - 1] @ d[:, i]
-        prod += d[:, i - 1]
-        d[:, i] += prod
+        prod = sq[:, i - 1] @ sq[:, i]
+        prod += sq[:, i - 1]
+        sq[:, i] += prod
     starts = np.empty((n_blocks, q + 1))
     zb = np.append(z, 1.0)
     for b in range(n_blocks):
         starts[b] = zb
-        zb = zb + zb @ d[b, -1]
-    rows = starts[:, None, :] + (starts[:, None, None, :] @ d)[:, :, 0]
+        zb = zb + zb @ sq[b, -1]
+    rows = starts[:, None, :] + (starts[:, None, None, :] @ sq)[:, :, 0]
     return rows.reshape(-1, q + 1)[:k, :q]
 
 
@@ -328,18 +323,18 @@ def _chunk_tables(problem: EstimationProblem, state: FilterState | None,
 
 
 def _affine_tables(law, theta_s: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   tau: float, mu: float):
-    """(c, At) with ``law(y, a[i], b[i]) = c[i] + (y - theta_s) @ At[i]``.
+                   tau: float, mu: float) -> np.ndarray:
+    """f ``[n, q + 1, q]`` with ``law(y, a[i], b[i]) = [y - theta_s, 1] @ f[i]``.
 
-    Every law is affine in the estimate, so c[i] = law(theta_s, a[i], b[i])
-    and row j of At[i], column j of the law's matrix, is law(e_j, a[i], 0).
-    Each is one call over the whole table, At's with the identity on a
-    leading axis; c is ``[n, q]`` and At a C-contiguous ``[n, q, q]``.
+    Every law is affine in the estimate, so row j < q of f[i], column j of
+    the law's matrix, is law(e_j, a[i], 0), and row q is law(theta_s, a[i],
+    b[i]). One call builds them all: the q + 1 points [e_1 ... e_q, theta_s]
+    go on a leading axis, with b zero except at point q.
     """
     q = theta_s.shape[-1]
-    c = law(theta_s, a, b, tau, mu)
-    at = law(np.eye(q), a[:, None], np.zeros_like(b)[:, None], tau, mu)
-    return c, np.ascontiguousarray(at)
+    b_points = np.zeros((len(b), q + 1) + b.shape[1:])
+    b_points[:, q] = b
+    return law(np.vstack([np.eye(q), theta_s]), a[:, None], b_points, tau, mu)
 
 
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
@@ -365,10 +360,10 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     # below names that step, and no warning leaks
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
-            c, at = _affine_tables(law, theta_s, a, b, tau, mu)
-            ys = affine_rk4(theta_s, theta_s, c, at, dt)
+            f = _affine_tables(law, theta_s, a, b, tau, mu)
+            ys = affine_rk4(theta_s, theta_s, f, dt)
             # release this chunk's tables before the next chunk's are built
-            del a, b, c, at
+            del a, b, f
             # the squared norm of a row holding inf or nan is inf or nan, so it
             # fails the bound as well
             bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2

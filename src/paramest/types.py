@@ -95,6 +95,9 @@ class EstimatorConfig:
             raise ConfigurationError(f"tau must be positive and finite, got {self.tau}")
         if self.variant.uses_manifold_gain and not np.isfinite(self.mu):
             raise ConfigurationError("mu must be finite for the modified-gain variants")
+        if self.variant.uses_filter and not np.isfinite(self.filter_init):
+            raise ConfigurationError(
+                f"filter_init must be finite for the filtered variants, got {self.filter_init}")
         if self.theta_hat_0 is not None:
             th0 = np.asarray(self.theta_hat_0, dtype=float)
             object.__setattr__(self, "theta_hat_0", th0)

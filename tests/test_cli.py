@@ -93,13 +93,14 @@ class TestRun:
         ("outputs.csv", {"outputs": {"csv": 5}}),
         ("label", {"estimators": [{"variant": "GE", "label": 5}]}),
         ("label", {"estimators": [{"variant": "GE", "label": "../../x"}]}),
+        ("filter_init", {"estimators": [{"variant": "MRE", "tau": 1, "filter_init": "1e400"}]}),
     ], ids=["variant", "tau", "settings", "estimators", "regressor-null",
             "regressor-string", "regressor-component", "true_params",
             "theta_hat_0", "tau-inf", "t_end-inf", "record_every-inf",
             "record_every-fraction", "dt-bool", "unknown-top-level-key",
             "unknown-settings-key", "unknown-problem-key", "unknown-outputs-key",
             "name-escapes-out", "name-number", "outputs-csv-number", "label-number",
-            "label-escapes-out"])
+            "label-escapes-out", "filter_init-inf"])
     def test_bad_config_value_exits_1_naming_field(self, tmp_path, capsys, field, patch):
         doc = {
             "problem": {"regressor": ["1"], "true_params": [1]},

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paramest import estimators
 from paramest.catalog import BUILTIN_NAMES, builtin, builtin_estimators, builtin_t_end
 from paramest.errors import ConfigurationError, DivergenceError
 from paramest.estimators import adjugate, det, ge_rhs, mge_mre_rhs, mge_rhs, mre_rhs
@@ -122,22 +123,25 @@ class TestRk4Step:
             rk4_step(lambda t, v: v, 0.0, np.array([1.0]), 0.0)
 
 
-def decay_tables(n_steps, q=1):
-    """Affine stage tables (c, At) of dy/dt = -y over n_steps steps."""
-    return np.zeros((4 * n_steps, q)), np.tile(-np.eye(q), (4 * n_steps, 1, 1))
+def affine_table(at, c):
+    """Stage table f ``[n, q + 1, q]`` of dy/dt = c[i] + (y - o) @ at[i]."""
+    return np.concatenate([at, c[:, None]], axis=1)
+
+
+def decay_table(n_steps, q=1):
+    """Affine stage table f of dy/dt = -y over n_steps steps."""
+    return np.tile(np.vstack([-np.eye(q), np.zeros(q)]), (4 * n_steps, 1, 1))
 
 
 class TestAffineRk4:
     def test_returns_every_step_from_the_input(self):
-        c, at = decay_tables(7)
-        ys = affine_rk4(np.array([1.0]), np.zeros(1), c, at, 0.1)
+        ys = affine_rk4(np.array([1.0]), np.zeros(1), decay_table(7), 0.1)
         assert ys.shape == (8, 1)
         assert ys[0, 0] == 1.0
 
     def test_matches_repeated_rk4_step(self):
         dt = 0.01
-        c, at = decay_tables(100, q=2)
-        states = affine_rk4(np.array([1.0, -2.0]), np.zeros(2), c, at, dt)
+        states = affine_rk4(np.array([1.0, -2.0]), np.zeros(2), decay_table(100, q=2), dt)
         y = np.array([1.0, -2.0])
         for k in range(101):
             assert np.max(np.abs(states[k] - y)) <= 1e-15
@@ -148,9 +152,8 @@ class TestAffineRk4:
         # itself, so it stays 0, while a product of 19 such steps overflows:
         # 0 * inf must not turn the rows into nan
         n_steps = 512
-        c = np.zeros((4 * n_steps, 2))
-        at = np.tile(np.diag([-4e7, -1.0]), (4 * n_steps, 1, 1))
-        ys = affine_rk4(np.array([0.0, 1.0]), np.zeros(2), c, at, 1e-3)
+        f = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, 0.0]], (4 * n_steps, 1, 1))
+        ys = affine_rk4(np.array([0.0, 1.0]), np.zeros(2), f, 1e-3)
         assert ys.shape == (n_steps + 1, 2) and np.all(np.isfinite(ys))
         assert np.all(ys[:, 0] == 0.0)
         assert ys[-1, 1] == pytest.approx(math.exp(-n_steps * 1e-3), rel=1e-12)
@@ -160,26 +163,28 @@ class TestAffineRk4:
     def test_matches_the_per_step_update(self, q, n_steps, seed, dt, at_rest):
         # random stable tables over horizons that end anywhere in a block;
         # at rest, y starts at the origin and the first steps' m_k, scaled
-        # through c (m_k is linear in it), lie below half an ulp of it: the
-        # per-step update keeps y there, though two of them add up to an ulp
+        # through the value row of f (m_k is linear in it), lie below half an
+        # ulp of it: the per-step update keeps y there, though two of them
+        # add up to an ulp
         rng = np.random.default_rng(seed)
         origin = rng.uniform(1.0, 4.0, size=q) * rng.choice([-1.0, 1.0], size=q)
         c = rng.normal(size=(4 * n_steps, q))
         at = -np.eye(q) + 0.3 * rng.normal(size=(4 * n_steps, q, q))
+        f = affine_table(at, c)
         if at_rest:
             y = origin.copy()
             rest = rng.integers(0, n_steps + 1)
-            m, _ = step_maps(c[:4 * rest], at[:4 * rest], dt)
+            m = step_maps(f[:4 * rest], dt)[:, q]
             scale = 0.4 * np.min(np.spacing(np.abs(origin))) / np.max(np.abs(m), axis=1)
-            c[:4 * rest] *= np.repeat(scale, 4)[:, None]
+            f[:4 * rest, q] *= np.repeat(scale, 4)[:, None]
         else:
             y = origin + rng.normal(size=q)
-        m, n = step_maps(c, at, dt)
+        d = step_maps(f, dt)
         ref = [y]
-        for m_k, n_k in zip(m, n):
-            ref.append(ref[-1] + (m_k + (ref[-1] - origin) @ n_k))
+        for d_k in d:
+            ref.append(ref[-1] + (d_k[q] + (ref[-1] - origin) @ d_k[:q]))
         ref = np.array(ref)
-        ys = affine_rk4(y, origin, c, at, dt)
+        ys = affine_rk4(y, origin, f, dt)
         rests = np.all(ref == origin, axis=1)
         assert np.all(ys[rests] == origin)
         np.testing.assert_allclose(ys, ref, rtol=1e-12, atol=1e-12)
@@ -190,7 +195,7 @@ class TestAffineRk4:
         rng = np.random.default_rng(seed)
         c, at = rng.normal(size=(4, q)), rng.normal(size=(4, q, q))
         origin, y = rng.normal(size=q), rng.normal(size=q)
-        m, n = step_maps(c, at, dt)
+        d = step_maps(affine_table(at, c), dt)
         stage = iter(range(4))
 
         def rhs(t, v):  # stages are called in order, stage s at call s
@@ -198,8 +203,8 @@ class TestAffineRk4:
             return c[i] + (v - origin) @ at[i]
 
         ref = rk4_step(rhs, 0.0, y, dt)
-        out = y + (m[0] + (y - origin) @ n[0])
-        assert m.shape == (1, q) and n.shape == (1, q, q)
+        out = y + np.append(y - origin, 1.0) @ d[0]
+        assert d.shape == (1, q + 1, q)
         assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -240,6 +245,22 @@ class TestSimulate:
                               theta_hat_0=problem.true_params.copy())
         settings = SimSettings(t_end=(2 * CHUNK_STEPS + 100) * 1e-3, record_every=1)
         assert np.max(simulate(problem, cfg, settings).err_norms) == 0.0
+
+    def test_law_runs_once_per_chunk(self, monkeypatch):
+        # each chunk's affine table comes from one call of the law, so DREM
+        # takes the determinant and adjugate of its stage tables once a chunk
+        calls = []
+        det_adjugate = estimators._det_adjugate
+
+        def counted(m):
+            calls.append(m.shape)
+            return det_adjugate(m)
+
+        monkeypatch.setattr(estimators, "_det_adjugate", counted)
+        problem, tau, _ = make_problem("example6")
+        settings = SimSettings(t_end=(CHUNK_STEPS + 10) * 1e-3)
+        simulate(problem, EstimatorConfig(variant=Variant.DREM, tau=tau), settings)
+        assert len(settings.chunks) == 2 and len(calls) == 2
 
     def test_recording_includes_endpoints_and_subsamples(self):
         problem, tau, _ = make_problem("example1")

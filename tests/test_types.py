@@ -34,6 +34,13 @@ class TestEstimatorConfig:
         # ignored elsewhere
         EstimatorConfig(variant=Variant.GE, tau=1.0, mu=float("nan"))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_filter_init_must_be_finite_for_filtered_variants(self, value):
+        with pytest.raises(ConfigurationError, match="filter_init"):
+            EstimatorConfig(variant=Variant.MRE, tau=1.0, filter_init=value)
+        # ignored elsewhere
+        EstimatorConfig(variant=Variant.GE, tau=1.0, filter_init=value)
+
     def test_variant_accepts_strings(self):
         cfg = EstimatorConfig(variant="MGE_MRE", tau=1.0, mu=0.5)
         assert cfg.variant is Variant.MGE_MRE
