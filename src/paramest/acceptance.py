@@ -155,12 +155,14 @@ def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
     """RK4 run of the modified-gain parameter-error dynamics
     d(err)/dt = -k(w) w^T err, a law written here from ``mge_gain`` alone, so
     it is independent of the estimator law that ``simulate`` integrates. It is
-    linear in err, so its stage table is -w k(w)^T over a zero value row."""
+    linear in err, so its stage table is -w k(w)^T over the value row of the
+    law at theta_err_0, where the run starts."""
     w = spec.sample(settings.half_step_times())[stage_index(settings.n_steps)]
     q = w.shape[-1]
-    f = np.zeros((len(w), q + 1, q))
+    f = np.empty((len(w), q + 1, q))
     f[:, :q] = -w[:, :, None] * mge_gain(w, tau, mu)[:, None, :]
-    return affine_rk4(theta_err_0, np.zeros(q), f, settings.dt)[settings.record_steps]
+    f[:, q] = theta_err_0 @ f[:, :q]
+    return affine_rk4(theta_err_0, f, settings.dt)[settings.record_steps]
 
 
 def _c4_duality():
@@ -289,8 +291,8 @@ def _c10_drem_monotone():
 def _rk4_global_error(dt: float) -> float:
     """Error at t = 1 of the production engine on dy/dt = -y, y(0) = 1."""
     n = SimSettings(t_end=1.0, dt=dt).n_steps
-    y = affine_rk4(np.array([1.0]), np.zeros(1), np.tile([[-1.0], [0.0]], (4 * n, 1, 1)),
-                   dt)[-1]
+    # dy/dt = -y expanded at y(0) = 1
+    y = affine_rk4(np.array([1.0]), np.tile([[-1.0], [-1.0]], (4 * n, 1, 1)), dt)[-1]
     return abs(float(y[0]) - math.exp(-1.0))
 
 

@@ -15,10 +15,13 @@ outer products. The filter pole is fixed at 1; only this filter is supported.
 and ``filter_rhs`` applies it to a ``FilterState``. The filter does not depend
 on the estimate, so ``filter_scan`` integrates it apart from the estimator: RK4
 on this linear time-invariant system is exactly the affine recurrence
-``x_{k+1} = rho x_k + F_k`` (x = [Omega.ravel(), G]), run as a blocked scan.
+``x_{k+1} = rho x_k + F_k`` (x = [Omega.ravel(), G]), run as a blocked scan
+in blocks of ceil(sqrt(m)) of a chunk's m steps, the rule ``sim._scan``
+blocks the estimate's step maps by.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +58,6 @@ def filter_law(omega_ext: np.ndarray, g_ext: np.ndarray, w: np.ndarray, g):
             w * np.asarray(g)[..., None] - g_ext)
 
 
-# steps per block of the scan: one (B, B) matrix of powers of rho, then one
-# short loop over the block starts
-SCAN_BLOCK = 64
-
-
 def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
     """RK4 steps of the filter from ``state`` over (w, g) sampled on the
     half-step grid of m steps: w ``[2m+1, q]``, g ``[2m+1]``, entry 2k at the
@@ -93,7 +91,7 @@ def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
     beta4 *= dt
 
     # x_{bB+i+1} = rho^(i+1) x_{bB} + sum_{l <= i} rho^(i-l) F_{bB+l} in block b
-    block = min(SCAN_BLOCK, m)
+    block = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
     n_blocks = -(-m // block)
     padded = np.zeros((n_blocks * block, width))
     forcing = padded[:m]

@@ -18,8 +18,11 @@ batched products and two short loops per chunk of K steps, instead of four
 right-hand-side evaluations and the stage sums per step. Its states match
 the per-step update to rounding (at most 5.3e-13 over the builtin runs), an
 estimate at rest stays there to the bit, and a chunk whose scan is not
-finite falls back to the per-step update. ``simulate`` and the acceptance
-criteria integrate through it, and ``rk4_step`` is the independent one-step
+finite falls back to the per-step update. It reads tables expanded at the
+state it starts from, ``affine_rk4(y, f, dt)``: every scan starts from
+z = 0, and the step maps before the first step that would move y are
+zeroed into identity maps. ``simulate`` and the acceptance criteria
+integrate through it, and ``rk4_step`` is the independent one-step
 reference the tests pin it to.
 
 ``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` (512) steps,
@@ -37,9 +40,9 @@ chunk starts from (``_affine_tables``). The estimate alone then
 runs through ``affine_rk4`` on that table, whatever the variant, and is
 carried with the filter state from chunk to chunk. Expanding at theta_s, not
 at 0, keeps an estimate at rest exactly where the law puts it: y - theta_s
-is exactly 0 until the estimate moves, and ``affine_rk4`` holds y at theta_s
-to the bit until a step would move it. Started at the truth, the
-unfiltered estimates never move.
+is exactly 0 until the estimate moves, and the identity maps ``affine_rk4``
+puts before the first step that moves it keep it at theta_s to the bit.
+Started at the truth, the unfiltered estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
 their speed-up was measured: f holds q^2 + q entries per stage and d as many
@@ -196,69 +199,59 @@ def step_maps(f: np.ndarray, dt: float) -> np.ndarray:
     return (dt / 6.0) * g_sum
 
 
-def affine_rk4(y: np.ndarray, origin: np.ndarray, f: np.ndarray,
-               dt: float) -> np.ndarray:
-    """Classical RK4 from y on ``dy/dt = [y - origin, 1] @ f[i]``, i = 4k + s
-    naming stage s of step k (stage 0 at t_k, stages 1 and 2 at t_k + dt/2,
-    stage 3 at t_k + dt), one affine step map per step (``step_maps``).
-    Returns the states ``[K + 1, q]`` of the K = len(f) / 4 steps: row k is
-    the state after k steps, row 0 is y. Overflow and invalid-value warnings
-    are silenced: a state that leaves its bounds shows as inf or nan in the
-    rows, for the caller to find.
+def affine_rk4(y: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 from y on ``dx/dt = [x - y, 1] @ f[i]``, the law expanded
+    at the state it starts from, i = 4k + s naming stage s of step k (stage 0
+    at t_k, stages 1 and 2 at t_k + dt/2, stage 3 at t_k + dt), one affine
+    step map per step (``step_maps``). Returns the states ``[K + 1, q]`` of
+    the K = len(f) / 4 steps: row k is the state after k steps, row 0 is y.
+    Overflow and invalid-value warnings are silenced: a state that leaves its
+    bounds shows as inf or nan in the rows, for the caller to find.
 
     The step tables d hold m_k = d[k, q] and N_k = d[k, :q], and the steps
-    run as a blocked scan of the maps ``z+ = z + m_k + z @ N_k`` of
-    z = y - origin (``_scan``). The rows agree with the per-step update
-    ``y+ = y + (m_k + (y - origin) @ N_k)`` (``_step_loop``)
-    to rounding, not to the bit: over the 12 builtin runs the largest gap is
-    5.3e-13 (example5 MGE_MRE). Two things are exact. A y at rest at the
-    origin stays there, to the bit, until the first step the per-step update
-    moves it (``origin + m_k != origin``, or a non-finite N_k); that step is
-    applied as the per-step update applies it, and the scan starts after
-    it. In z, sub-ulp m_k would add up where y absorbs them. And a chunk
-    whose scanned rows are not all finite is recomputed by the per-step
-    update, so an overflow shows at the step it happens, and a block product
-    that overflows on a component the state does not hold cannot turn
-    ``0 * inf`` into a false nan.
+    run as a blocked scan of the maps ``z+ = z + m_k + z @ N_k`` of z = x - y
+    from z = 0 (``_scan``). The rows agree with the per-step update
+    ``x+ = x + (m_k + (x - y) @ N_k)`` (``_step_loop``) to rounding, not to
+    the bit: over the 12 builtin runs the largest gap is 5.3e-13 (example5
+    MGE_MRE). Two things are exact. A y at rest stays there, to the bit,
+    until the first step the per-step update moves it (``y + m_k != y``, or
+    a non-finite N_k): the maps before that step are zeroed into identity
+    maps, so the scan keeps z at 0 over them, and its first moving row is
+    ``[0, 1] @ D_k = m_k``, the per-step update's. In z, sub-ulp m_k would
+    add up where y absorbs them. And a chunk whose scanned rows are not all
+    finite is recomputed by the per-step update, so an overflow shows at the
+    step it happens, and a block product that overflows on a component the
+    state does not hold cannot turn ``0 * inf`` into a false nan.
     """
     ys = np.empty((len(f) // 4 + 1, len(y)))
     ys[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         d = step_maps(f, dt)
-        start = 0
-        if np.array_equal(y, origin):
-            # a step moves y off the origin when origin + m_k rounds to a
-            # new value, or when 0 @ N_k is nan
-            moves = ((origin + d[:, -1] != origin).any(axis=1)
-                     | ~np.isfinite(d[:, :-1]).all(axis=(1, 2)))
-            if not moves.any():
-                ys[1:] = origin
-                return ys
-            start = int(np.argmax(moves))
-            ys[1:start + 1] = origin
-            _step_loop(ys, d[start:start + 1], origin, start)
-            start += 1
-        if start < len(d):
-            ys[start + 1:] = origin + _scan(ys[start] - origin, d[start:])
-            if not np.isfinite(ys[start + 1:]).all():
-                _step_loop(ys, d[start:], origin, start)
+        # a step moves y when y + m_k rounds to a new value, or when 0 @ N_k
+        # is nan; the steps before the first one that moves keep y
+        moves = ((y + d[:, -1] != y).any(axis=1)
+                 | ~np.isfinite(d[:, :-1]).all(axis=(1, 2)))
+        d[~np.logical_or.accumulate(moves)] = 0.0
+        ys[1:] = y + _scan(d)
+        if not np.isfinite(ys[1:]).all():
+            _step_loop(ys, d)
     return ys
 
 
-def _step_loop(ys: np.ndarray, d: np.ndarray, origin: np.ndarray, start: int) -> None:
-    """Apply the step maps d one at a time from row ``start`` of ys, filling
-    rows start + 1 to start + len(d)."""
-    y = ys[start]
+def _step_loop(ys: np.ndarray, d: np.ndarray) -> None:
+    """Apply the step maps d one at a time from ys[0], the expansion point,
+    filling rows 1 to len(d)."""
+    y = y0 = ys[0]
     for j in range(len(d)):
-        # y - origin is exactly 0 while y rests at the expansion point, so
-        # an estimate at rest moves only by m_j, to the bit
-        y = y + (d[j, -1] + (y - origin).dot(d[j, :-1]))
-        ys[start + j + 1] = y
+        # y - y0 is exactly 0 while y rests at the expansion point, so an
+        # estimate at rest moves only by m_j, to the bit
+        y = y + (d[j, -1] + (y - y0).dot(d[j, :-1]))
+        ys[j + 1] = y
 
 
-def _scan(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """z after each of the K affine maps ``z+ = z + [z, 1] @ d[k]`` from z,
-    ``[K, q]``, as a two-level blocked scan.
+def _scan(d: np.ndarray) -> np.ndarray:
+    """z after each of the K affine maps ``z+ = z + [z, 1] @ d[k]`` from
+    z = 0, ``[K, q]``, as a two-level blocked scan.
 
     In homogeneous coordinates [z, 1] each map is the square matrix I + D_k,
     D_k holding d[k] in its first q columns and 0 in its last. The K maps
@@ -268,8 +261,9 @@ def _scan(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     ``Q_i = Q_{i-1} + D_i + Q_{i-1} @ D_i``, which keeps the small N_k apart
     from the identity; the top rows of I + Q_i are the prefix product P_i of
     the I + N_k and its last row the offset S_i. A short loop carries the
-    state z_b over the block starts, and every row is then
-    ``z_b @ P_i + S_i = z_b + z_b @ Q_i`` at once.
+    state z_b over the block starts from ``[0, 1]``, and every row is then
+    ``z_b @ P_i + S_i = z_b + z_b @ Q_i`` at once. Zero maps leave z at 0
+    exactly, and the first row after them is the next map's offset, m_k.
     """
     k, q = len(d), d.shape[-1]
     size = math.isqrt(k - 1) + 1  # ceil(sqrt(K)): blocks of ~sqrt(K) steps
@@ -283,7 +277,7 @@ def _scan(z: np.ndarray, d: np.ndarray) -> np.ndarray:
         prod += sq[:, i - 1]
         sq[:, i] += prod
     starts = np.empty((n_blocks, q + 1))
-    zb = np.append(z, 1.0)
+    zb = np.eye(q + 1)[q]  # [z, 1] at z = 0
     for b in range(n_blocks):
         starts[b] = zb
         zb = zb + zb @ sq[b, -1]
@@ -361,7 +355,7 @@ def simulate(problem: EstimationProblem, config: EstimatorConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
             f = _affine_tables(law, theta_s, a, b, tau, mu)
-            ys = affine_rk4(theta_s, theta_s, f, dt)
+            ys = affine_rk4(theta_s, f, dt)
             # release this chunk's tables before the next chunk's are built
             del a, b, f
             # the squared norm of a row holding inf or nan is inf or nan, so it

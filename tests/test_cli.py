@@ -94,13 +94,17 @@ class TestRun:
         ("label", {"estimators": [{"variant": "GE", "label": 5}]}),
         ("label", {"estimators": [{"variant": "GE", "label": "../../x"}]}),
         ("filter_init", {"estimators": [{"variant": "MRE", "tau": 1, "filter_init": "1e400"}]}),
+        ("dimension >= 2", {"estimators": [{"variant": "MGE_MRE", "tau": 1}]}),
+        ("theta_hat_0 length",
+         {"estimators": [{"variant": "GE", "tau": 1, "theta_hat_0": [1, 2]}]}),
     ], ids=["variant", "tau", "settings", "estimators", "regressor-null",
             "regressor-string", "regressor-component", "true_params",
             "theta_hat_0", "tau-inf", "t_end-inf", "record_every-inf",
             "record_every-fraction", "dt-bool", "unknown-top-level-key",
             "unknown-settings-key", "unknown-problem-key", "unknown-outputs-key",
             "name-escapes-out", "name-number", "outputs-csv-number", "label-number",
-            "label-escapes-out", "filter_init-inf"])
+            "label-escapes-out", "filter_init-inf", "mge_mre-scalar",
+            "theta_hat_0-length"])
     def test_bad_config_value_exits_1_naming_field(self, tmp_path, capsys, field, patch):
         doc = {
             "problem": {"regressor": ["1"], "true_params": [1]},

@@ -5,7 +5,7 @@ import pytest
 
 from paramest.catalog import BUILTIN_NAMES, builtin
 from paramest.errors import ConfigurationError
-from paramest.filters import SCAN_BLOCK, FilterState, filter_rhs
+from paramest.filters import FilterState, filter_rhs
 from paramest.sim import CHUNK_STEPS, SimSettings, rk4_step, stage_tables
 from paramest.types import EstimationProblem
 
@@ -98,8 +98,10 @@ class TestTrajectories:
 class TestScan:
     """The production scan against rk4_step over filter_rhs, stage by stage."""
 
-    @pytest.mark.parametrize("n_steps", [2 * CHUNK_STEPS + 100, SCAN_BLOCK // 2],
-                             ids=["chunks", "part-block"])
+    # blocks are ceil(sqrt(m)) steps: 16 steps fill four blocks of 4, and
+    # 13 steps end one step past the edge of their third block of 4
+    @pytest.mark.parametrize("n_steps", [2 * CHUNK_STEPS + 100, 1, 16, 13],
+                             ids=["chunks", "one-step", "block-edge", "part-block"])
     @pytest.mark.parametrize("init", [0.0, 0.1])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_states_and_stages_match_rk4_step(self, name, init, n_steps):

@@ -128,21 +128,23 @@ def affine_table(at, c):
     return np.concatenate([at, c[:, None]], axis=1)
 
 
-def decay_table(n_steps, q=1):
-    """Affine stage table f of dy/dt = -y over n_steps steps."""
-    return np.tile(np.vstack([-np.eye(q), np.zeros(q)]), (4 * n_steps, 1, 1))
+def decay_table(y, n_steps):
+    """Affine stage table f of dy/dt = -y over n_steps steps, expanded at y."""
+    f = np.tile(np.vstack([-np.eye(len(y)), np.zeros(len(y))]), (4 * n_steps, 1, 1))
+    f[:, -1] += y @ f[:, :-1]
+    return f
 
 
 class TestAffineRk4:
     def test_returns_every_step_from_the_input(self):
-        ys = affine_rk4(np.array([1.0]), np.zeros(1), decay_table(7), 0.1)
+        ys = affine_rk4(np.array([1.0]), decay_table(np.array([1.0]), 7), 0.1)
         assert ys.shape == (8, 1)
         assert ys[0, 0] == 1.0
 
     def test_matches_repeated_rk4_step(self):
         dt = 0.01
-        states = affine_rk4(np.array([1.0, -2.0]), np.zeros(2), decay_table(100, q=2), dt)
         y = np.array([1.0, -2.0])
+        states = affine_rk4(y, decay_table(y, 100), dt)
         for k in range(101):
             assert np.max(np.abs(states[k] - y)) <= 1e-15
             y = rk4_step(lambda t, v: -v, k * dt, y, dt)
@@ -150,10 +152,11 @@ class TestAffineRk4:
     def test_overflowing_block_product_keeps_a_state_at_zero(self):
         # component 0 starts at 0 and each step maps it to about 4e16 times
         # itself, so it stays 0, while a product of 19 such steps overflows:
-        # 0 * inf must not turn the rows into nan
+        # 0 * inf must not turn the rows into nan; the law is expanded at
+        # y = [0, 1]
         n_steps = 512
-        f = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, 0.0]], (4 * n_steps, 1, 1))
-        ys = affine_rk4(np.array([0.0, 1.0]), np.zeros(2), f, 1e-3)
+        f = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, -1.0]], (4 * n_steps, 1, 1))
+        ys = affine_rk4(np.array([0.0, 1.0]), f, 1e-3)
         assert ys.shape == (n_steps + 1, 2) and np.all(np.isfinite(ys))
         assert np.all(ys[:, 0] == 0.0)
         assert ys[-1, 1] == pytest.approx(math.exp(-n_steps * 1e-3), rel=1e-12)
@@ -161,32 +164,37 @@ class TestAffineRk4:
     @given(q=st.integers(1, 3), n_steps=st.integers(1, 600),
            seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-3, 0.1), at_rest=st.booleans())
     def test_matches_the_per_step_update(self, q, n_steps, seed, dt, at_rest):
-        # random stable tables over horizons that end anywhere in a block;
-        # at rest, y starts at the origin and the first steps' m_k, scaled
-        # through the value row of f (m_k is linear in it), lie below half an
-        # ulp of it: the per-step update keeps y there, though two of them
-        # add up to an ulp
+        # random stable tables over horizons that end anywhere in a block,
+        # expanded at y; at rest, the first steps' m_k, scaled through the
+        # value row of f (m_k is linear in it), lie below half an ulp of y:
+        # the per-step update keeps y there, though two of them add up to an
+        # ulp
         rng = np.random.default_rng(seed)
-        origin = rng.uniform(1.0, 4.0, size=q) * rng.choice([-1.0, 1.0], size=q)
+        o = rng.uniform(1.0, 4.0, size=q) * rng.choice([-1.0, 1.0], size=q)
         c = rng.normal(size=(4 * n_steps, q))
         at = -np.eye(q) + 0.3 * rng.normal(size=(4 * n_steps, q, q))
         f = affine_table(at, c)
         if at_rest:
-            y = origin.copy()
+            y = o
             rest = rng.integers(0, n_steps + 1)
             m = step_maps(f[:4 * rest], dt)[:, q]
-            scale = 0.4 * np.min(np.spacing(np.abs(origin))) / np.max(np.abs(m), axis=1)
+            scale = 0.4 * np.min(np.spacing(np.abs(y))) / np.max(np.abs(m), axis=1)
             f[:4 * rest, q] *= np.repeat(scale, 4)[:, None]
         else:
-            y = origin + rng.normal(size=q)
+            y = o + rng.normal(size=q)
+            f[:, q] += (y - o) @ f[:, :q]
         d = step_maps(f, dt)
         ref = [y]
         for d_k in d:
-            ref.append(ref[-1] + (d_k[q] + (ref[-1] - origin) @ d_k[:q]))
+            ref.append(ref[-1] + (d_k[q] + (ref[-1] - y) @ d_k[:q]))
         ref = np.array(ref)
-        ys = affine_rk4(y, origin, f, dt)
-        rests = np.all(ref == origin, axis=1)
-        assert np.all(ys[rests] == origin)
+        ys = affine_rk4(y, f, dt)
+        rests = np.all(ref == y, axis=1)
+        assert np.all(ys[rests] == y)
+        if not rests.all():
+            # the first step off rest is the per-step update's, to the bit
+            first = int(np.argmin(rests))
+            assert np.array_equal(ys[first], ref[first])
         np.testing.assert_allclose(ys, ref, rtol=1e-12, atol=1e-12)
 
     @given(q=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
