@@ -5,8 +5,10 @@ Each side runs every estimator of every builtin scenario through
 ``harness.run_scenario`` in its own subprocess, with PYTHONPATH set to this
 checkout's src/ or to OTHER_SRC. For each run the script prints the largest
 absolute gap in t, theta_hat, error norm, manifold residual and storage, and
-exits 1 when any gap exceeds --atol (default 0: bit-identical; NaN matches
-NaN) or when the two sides do not record the same runs and shapes.
+for each scenario the largest gap in its excitation table
+(``ScenarioResult.excitation``: window start t and rho). It exits 1 when any
+gap exceeds --atol (default 0: bit-identical; NaN matches NaN) or when the
+two sides do not record the same runs, tables and shapes.
 
 Usage: python scripts/compare_runs.py OTHER_SRC [--atol A] [--t-end T]
 """
@@ -20,11 +22,14 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-FIELDS = ("t", "theta_hat", "err_norm", "residual", "storage")
+# table -> its columns; a row is one run, or one scenario's excitation table
+TABLES = {"run": ("t", "theta_hat", "err_norm", "residual", "storage"),
+          "excitation": ("t", "rho")}
 
 
 def dump(path: str, t_end) -> None:
-    """Run every builtin and save each trajectory field as '<name>/<label>/<field>'."""
+    """Run every builtin and save each trajectory field as 'run/<name>/<label>/<field>'
+    and each excitation column as 'excitation/<name>/<t or rho>'."""
     from paramest import harness
     from paramest.catalog import BUILTIN_NAMES
 
@@ -35,8 +40,11 @@ def dump(path: str, t_end) -> None:
             traj = run.trajectory
             values = (traj.times, traj.estimates, traj.err_norms,
                       traj.manifold_residuals, traj.storage_values)
-            for field, value in zip(FIELDS, values):
-                arrays[f"{name}/{run.label}/{field}"] = value
+            for field, value in zip(TABLES["run"], values):
+                arrays[f"run/{name}/{run.label}/{field}"] = value
+        columns = np.array(result.excitation, dtype=float).reshape(-1, 2).T
+        for field, value in zip(TABLES["excitation"], columns):
+            arrays[f"excitation/{name}/{field}"] = value
     np.savez(path, **arrays)
 
 
@@ -87,16 +95,20 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
         this, other = (load(os.path.join(tmp, side + ".npz")) for side in sides)
-        runs = sorted({key.rsplit("/", 1)[0] for key in (*this, *other)})
-        print(f"{'run':24s}" + "".join(f"{field:>12s}" for field in FIELDS))
         failed = False
-        for run in runs:
-            gaps = [max_gap(this[key], other[key]) if key in this and key in other
-                    else float("inf") for key in (f"{run}/{field}" for field in FIELDS)]
-            failed |= any(gap > args.atol for gap in gaps)
-            print(f"{run:24s}" + "".join(f"{gap:12.3g}" for gap in gaps))
-    print(f"{len(runs)} runs, largest allowed gap {args.atol:g}: "
-          + ("FAIL" if failed else "ok"))
+        counts = {}
+        for table, fields in TABLES.items():
+            rows = sorted({key.rsplit("/", 1)[0] for key in (*this, *other)
+                           if key.startswith(table + "/")})
+            counts[table] = len(rows)
+            print(f"{table:24s}" + "".join(f"{field:>12s}" for field in fields))
+            for row in rows:
+                gaps = [max_gap(this[key], other[key]) if key in this and key in other
+                        else float("inf") for key in (f"{row}/{field}" for field in fields)]
+                failed |= any(gap > args.atol for gap in gaps)
+                print(f"{row.split('/', 1)[1]:24s}" + "".join(f"{gap:12.3g}" for gap in gaps))
+    print(f"{counts['run']} runs, {counts['excitation']} excitation tables, "
+          f"largest allowed gap {args.atol:g}: " + ("FAIL" if failed else "ok"))
     return 1 if failed else 0
 
 

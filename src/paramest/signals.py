@@ -8,18 +8,26 @@ cos, exp and pow(base, p), closed under + - * / and unary minus, e.g.::
 
 The grammar is a whitelist over Python expression syntax: ``ast.parse``
 reads the string and any node outside the grammar is a parse error, as is
-nesting too deep for the parser. An accepted string is compiled once and
-evaluated with no builtins in scope.
+nesting too deep for the parser. A ``RegressorSpec`` compiles the trees of
+all its components once into one straight-line program with one line per
+distinct subexpression, run with no builtins in scope: a subtree that
+several components share is evaluated once per call, with the same numpy
+operations and so the same values as evaluating each component alone.
 
 Excitation diagnostics integrate the windowed Gram matrix
 ``int_t^{t+T} w(s) w(s)^T ds`` by composite trapezoid rule and report its
-smallest eigenvalue rho. A regressor is persistently exciting when rho stays
-bounded away from zero for every window start; it is only interval exciting
-when the bound holds on a single finite window.
+smallest eigenvalue rho. ``excitation_sweep`` is the one path: it evaluates
+the windows one by one into a reused buffer and takes the eigenvalues of
+blocks of windows at once; ``excitation_report`` is its one-window case. A
+regressor is persistently exciting when rho stays bounded away from zero for
+every window start; it is only interval exciting when the bound holds on a
+single finite window.
 """
 from __future__ import annotations
 
 import ast
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -31,9 +39,12 @@ from .errors import ConfigurationError, SignalEvalError, SignalParseError
 # may ask for: 50x the longest horizon any test or benchmark runs (100 s at
 # dt = 5e-4), while a half-step grid of that many steps still fits in memory.
 MAX_STEPS = 10_000_000
+# excitation windows per eigenvalue call: a sweep holds one block's Gram
+# matrices at a time
+_GRAM_BLOCK = 512
 _DENOM_FLOOR = 1e-300
 _ARITY = {"sin": 1, "cos": 1, "exp": 1, "pow": 2}
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _FOREIGN = re.compile(r"[^A-Za-z0-9_.()+\-*/, ]")
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 _LITERAL = re.compile(r"[0-9.eE+-]+")
@@ -43,67 +54,141 @@ def _clip(text: str) -> str:
     return repr(text if len(text) <= 80 else text[:77] + "...")
 
 
+def _segment(source: str, node: ast.AST) -> str:
+    return source[node.col_offset:node.end_col_offset]
+
+
+def _children(node: ast.expr) -> list:
+    if isinstance(node, ast.BinOp):
+        return [node.left, node.right]
+    if isinstance(node, ast.UnaryOp):
+        return [node.operand]
+    return node.args if isinstance(node, ast.Call) else []
+
+
 def _nonzero(b, label: str):
     """The denominator b, unless it comes within the floor of zero."""
-    if np.min(np.abs(b)) < _DENOM_FLOOR:
+    if np.min(np.abs(b), initial=np.inf) < _DENOM_FLOOR:
         raise SignalEvalError(f"denominator magnitude below {_DENOM_FLOOR:g} in {label}")
     return b
 
 
-_SCOPE = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "pow": np.power, "_nonzero": _nonzero}
+def _finite(i: int, col, ts):
+    """Component i's values col at the times ts, unless one of them is not finite.
+
+    Defined here, not in the compiled program: numpy imports some modules on
+    first use, which fails in code that runs with no builtins in scope.
+    """
+    finite = np.isfinite(col)
+    if not finite.all():
+        raise SignalEvalError(f"component {i} non-finite at t={ts[~finite][0]}")
+    return col
 
 
-def _compilable(source: str) -> tuple[str, list[float]]:
-    """Check source against the grammar and rewrite it for ``eval``.
+def _grammar_tree(source: str) -> ast.expr:
+    """The parsed tree of source; any node outside the grammar is a SyntaxError.
 
-    Any node outside the grammar is a SyntaxError. In the returned text each
-    literal reads ``(_k[i]*_one)``, with its value at index i of the returned
-    list, and each denominator d reads ``_nonzero(d, label)``. Literals are
-    arrays like t because numpy takes other loops for scalar operands (power
-    with a scalar exponent rounds differently). The walk is iterative, and
-    text compiles to about three times the nesting depth an ``ast`` tree does.
+    The walk is iterative, so nesting is bounded by the parser alone.
     """
     def outside(node):
         return SyntaxError(f"{_clip(ast.get_source_segment(source, node))} is outside "
                            "the signal grammar")
 
-    consts = []
-    # (position, order among edits there: closing before opening, outer
-    # before inner; text to insert; number of source characters it replaces)
-    edits = []
-    todo = [ast.parse(source, mode="eval").body]
+    tree = ast.parse(source, mode="eval").body
+    todo = [tree]
     while todo:
         node = todo.pop()
-        start, end = node.col_offset, node.end_col_offset
         if isinstance(node, ast.Constant):
-            literal = source[start:end]
-            if type(node.value) not in (int, float) or not _LITERAL.fullmatch(literal):
+            if type(node.value) not in (int, float) or not _LITERAL.fullmatch(
+                    _segment(source, node)):
                 raise outside(node)
-            edits.append((start, (1, -end, 1), f"(_k[{len(consts)}]*_one)", end - start))
-            consts.append(float(literal))
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-            todo += [node.left, node.right]
-            if isinstance(node.op, ast.Div):
-                a, b = node.right.col_offset, node.right.end_col_offset
-                edits.append((a, (1, -b, 0), "_nonzero(", 0))
-                edits.append((b, (0, -a), f", {_clip(source[a:b])!r})", 0))
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            todo.append(node.operand)
+        elif (isinstance(node, ast.BinOp) and type(node.op) in _BINOPS
+              or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
+            todo += _children(node)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and len(node.args) == _ARITY.get(node.func.id) and not node.keywords
               # Python also reads "(sin)(t)" and a trailing comma "sin(t,)"
-              and node.func.col_offset == start
-              and "," not in source[node.args[-1].end_col_offset:end]):
+              and node.func.col_offset == node.col_offset
+              and "," not in source[node.args[-1].end_col_offset:node.end_col_offset]):
             todo += node.args
         elif not (isinstance(node, ast.Name) and node.id == "t"):
             raise outside(node)
+    return tree
 
-    pieces, done = [], 0
-    for pos, _, text, replaced in sorted(edits):
-        pieces += [source[done:pos], text]
-        done = pos + replaced
-    return "".join(pieces) + source[done:], consts
+
+def _program(exprs, checked: bool):
+    """Compile grammar trees into one straight-line function over all of them.
+
+    exprs holds ``(source, tree)`` pairs. Returns ``(run, literals)``:
+    ``run(t, _one, _out)`` stores expression i's value at the times t in
+    ``_out[i]``, and with ``checked`` first passes it through ``_finite``;
+    ``_one`` is ``np.ones_like(t)``, needed only when ``literals`` is true.
+
+    A post-order walk gives each distinct subexpression one line. A node's
+    key is its literal value, operator or function name together with the
+    lines of its children, so subtrees share a line when ``ast.dump`` prints
+    them alike (or they are the literals 1 and 1.0), and each is evaluated
+    once per call. Each expression's new lines and its store run before the
+    next expression's, so an error names the component that evaluating the
+    expressions one at a time would name. A denominator is checked once by
+    ``_nonzero``, before its first division and labelled by that occurrence.
+    Literals read ``_k[i] * _one``: arrays like t, because numpy takes other
+    loops for scalar operands (power with a scalar exponent rounds
+    differently). Each value is deleted after its last use.
+    """
+    lines = []  # (statement, names of the values it reads)
+    consts = []
+    names = {}  # key -> name of the value of that subexpression
+    denominators = set()
+
+    def line(key, text, reads):
+        if key not in names:
+            names[key] = f"_v{len(names)}"
+            lines.append((f"{names[key]} = {text}", reads))
+        return names[key]
+
+    for i, (source, tree) in enumerate(exprs):
+        # root, right subtree, left subtree: reversed, the post-order
+        order, todo = [], [tree]
+        while todo:
+            order.append(todo.pop())
+            todo += _children(order[-1])
+        value = {}  # id(node) -> name of its value
+        for node in reversed(order):
+            args = [value[id(child)] for child in _children(node)]
+            if isinstance(node, ast.Name):
+                name = "t"
+            elif isinstance(node, ast.Constant):
+                literal = float(_segment(source, node))
+                if ("k", literal) not in names:
+                    consts.append(literal)
+                name = line(("k", literal), f"_k[{len(consts) - 1}] * _one", [])
+            elif isinstance(node, ast.UnaryOp):
+                name = line(("-", *args), f"-{args[0]}", args)
+            elif isinstance(node, ast.Call):
+                name = line((node.func.id, *args), f"{node.func.id}({', '.join(args)})", args)
+            else:
+                op = _BINOPS[type(node.op)]
+                if op == "/" and args[1] not in denominators:
+                    denominators.add(args[1])
+                    label = _clip(_segment(source, node.right))
+                    lines.append((f"_nonzero({args[1]}, {label!r})", args[1:]))
+                name = line((op, *args), f"{args[0]} {op} {args[1]}", args)
+            value[id(node)] = name
+        name = value[id(tree)]
+        lines.append((f"_out[{i}] = " + (f"_finite({i}, {name}, t)" if checked else name),
+                      [name]))
+
+    last = {name: j for j, (_, reads) in enumerate(lines) for name in reads}
+    body = []
+    for j, (text, reads) in enumerate(lines):
+        dead = sorted({name for name in reads if name != "t" and last[name] == j})
+        body += [text] + ([f"del {', '.join(dead)}"] if dead else [])
+    scope = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+             "pow": np.power, "_nonzero": _nonzero, "_finite": _finite, "_k": consts}
+    exec(compile("def run(t, _one, _out):\n" + "".join(f"    {text}\n" for text in body),
+                 "<signal>", "exec"), scope)
+    return scope["run"], bool(consts)
 
 
 class SignalExpr:
@@ -122,18 +207,23 @@ class SignalExpr:
             bad = _FOREIGN.search(source)
             if bad:
                 raise SyntaxError(f"unexpected character {bad.group()!r}")
-            code, consts = _compilable(source)
-            self._code = compile(code, "<signal>", "eval")
+            self._tree = (source, _grammar_tree(source))
         except RecursionError:
             raise SignalParseError(f"expression nested too deeply: {_clip(text)}") from None
         except (SyntaxError, ValueError) as exc:
             raise SignalParseError(f"{getattr(exc, 'msg', exc)} in {_clip(text)}") from None
-        self._scope = {**_SCOPE, "_k": consts}
+
+    @functools.cached_property
+    def _compiled(self):
+        # compiled on first call: a RegressorSpec compiles its components together
+        return _program([self._tree], checked=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        one = np.ones_like(t) if self._scope["_k"] else None
-        return eval(self._code, {**self._scope, "t": t, "_one": one})
+        run, literals = self._compiled
+        out = [None]
+        run(t, np.ones_like(t) if literals else None, out)
+        return out[0]
 
     def __str__(self):
         return self.text
@@ -159,13 +249,22 @@ def parse_expr(text: str) -> SignalExpr:
 
 @dataclass(frozen=True)
 class RegressorSpec:
-    """Known regressor vector w(t): one scalar expression per component."""
+    """Known regressor vector w(t): one scalar expression per component.
+
+    The components are compiled once, together, into one straight-line
+    program with one line per distinct subexpression (``_program``): a
+    subtree that several components share, like ``sin(t)`` and ``cos(t)`` in
+    example6, is evaluated once per call.
+    """
 
     components: tuple[SignalExpr, ...]
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise ConfigurationError("regressor needs at least one component")
+        run, literals = _program([c._tree for c in self.components], checked=True)
+        object.__setattr__(self, "_run", run)
+        object.__setattr__(self, "_literals", literals)
 
     @property
     def dimension(self) -> int:
@@ -176,17 +275,18 @@ class RegressorSpec:
         return self.sample(np.array([t], dtype=float))[0]
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of times; returns shape (len(ts), q)."""
+        """Evaluate on an array of times; returns a C-ordered (len(ts), q) array."""
         ts = np.asarray(ts, dtype=float)
         out = np.empty((ts.size, self.dimension))
-        for i, comp in enumerate(self.components):
-            with np.errstate(over="ignore", invalid="ignore"):
-                col = comp(ts)
-            if not np.all(np.isfinite(col)):
-                bad = ts[~np.isfinite(col)][0]
-                raise SignalEvalError(f"component {i} non-finite at t={bad}")
-            out[:, i] = col
+        self._evaluate(ts, out.T)
         return out
+
+    def _evaluate(self, ts: np.ndarray, out: np.ndarray) -> None:
+        """w at the times ts into out, shape (q, len(ts)), one component at a
+        time: a component not finite at every time raises SignalEvalError
+        before the next one is computed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._run(ts, np.ones_like(ts) if self._literals else None, out)
 
 
 def regressor_from_strings(exprs) -> RegressorSpec:
@@ -214,12 +314,15 @@ class ExcitationReport:
     min_eigenvalue: float
 
 
-def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> ExcitationReport:
-    """Integrate the Gram matrix of w over [t, t+T] by composite trapezoid.
+def _window_grams(spec: RegressorSpec, starts, T: float, dt: float):
+    """Gram integrals of w over the windows [s, s+T], in blocks of windows.
 
-    The step is adjusted to the nearest value dividing T exactly; dt must be
-    at most T/10 so the window holds a reasonable number of nodes, and at
-    least T/MAX_STEPS so it holds no more intervals than the limit.
+    Yields ``(block, grams)`` for consecutive blocks of at most
+    ``_GRAM_BLOCK`` starts, ``grams[j]`` the symmetrized trapezoid Gram
+    matrix of window ``block[j]``. The node offsets and weights are computed
+    once per sweep, and each window is evaluated into one reused
+    component-major buffer w (q, n+1), whose Gram matrix is
+    ``(w * weights) @ w.T``.
     """
     if not 0 < T < np.inf:
         raise ConfigurationError(f"window length must be positive and finite, got {T}")
@@ -233,23 +336,48 @@ def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> Exc
             f"more than the limit of {MAX_STEPS}")
     n = int(round(T / dt))
     h = T / n
-    ts = t + h * np.arange(n + 1)
-    w = spec.sample(ts)
+    offsets = h * np.arange(n + 1)
     weights = np.full(n + 1, h)
     weights[0] = weights[-1] = h / 2
-    gram = (w * weights[:, None]).T @ w
-    gram = 0.5 * (gram + gram.T)
-    rho = float(np.linalg.eigvalsh(gram)[0])
-    return ExcitationReport(window_start=float(t), window_length=float(T),
-                            gram=gram, min_eigenvalue=rho)
+    w = np.empty((spec.dimension, n + 1))
+    weighted = np.empty_like(w)
+    starts = iter(starts)
+    while (block := np.fromiter(itertools.islice(starts, _GRAM_BLOCK), float)).size:
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise ConfigurationError(f"window start must be finite, got {block[~finite][0]}")
+        grams = np.empty((block.size, spec.dimension, spec.dimension))
+        for gram, s in zip(grams, block):
+            spec._evaluate(s + offsets, w)
+            np.matmul(np.multiply(w, weights, out=weighted), w.T, out=gram)
+        yield block, 0.5 * (grams + grams.transpose(0, 2, 1))
+
+
+def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> ExcitationReport:
+    """Integrate the Gram matrix of w over [t, t+T] by composite trapezoid.
+
+    The one-window case of ``excitation_sweep``. The step is adjusted to the
+    nearest value dividing T exactly; dt must be at most T/10 so the window
+    holds a reasonable number of nodes, and at least T/MAX_STEPS so it holds
+    no more intervals than the limit.
+    """
+    (_, grams), = _window_grams(spec, [t], T, dt)
+    return ExcitationReport(window_start=float(t), window_length=float(T), gram=grams[0],
+                            min_eigenvalue=float(np.linalg.eigvalsh(grams)[0, 0]))
 
 
 def excitation_sweep(spec: RegressorSpec, starts, T: float, dt: float):
     """Minimum Gram eigenvalue over a sweep of window starts.
 
-    Returns a list of (start, rho) pairs; the map staying bounded away from
-    zero over all starts is the observable signature of persistent
-    excitation, while a decaying map indicates excitation confined to an
-    initial interval.
+    Returns a list of (start, rho) pairs, rho as ``excitation_report`` gives
+    it for that start; the map staying bounded away from zero over all
+    starts is the observable signature of persistent excitation, while a
+    decaying map indicates excitation confined to an initial interval. The
+    windows are evaluated and their Gram matrices reduced in blocks of
+    ``_GRAM_BLOCK``, so the sweep's working memory does not grow with the
+    number of starts.
     """
-    return [(float(s), excitation_report(spec, s, T, dt).min_eigenvalue) for s in starts]
+    table = []
+    for block, grams in _window_grams(spec, starts, T, dt):
+        table += zip(block.tolist(), np.linalg.eigvalsh(grams)[:, 0].tolist())
+    return table

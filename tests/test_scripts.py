@@ -32,7 +32,7 @@ def test_run_all_scenarios_writes_csv_and_svg(tmp_path):
 def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     proc = run_script("compare_runs.py", ROOT / "src", "--t-end", "0.2")
     assert proc.returncode == 0, proc.stderr
-    assert "12 runs, largest allowed gap 0: ok" in proc.stdout
+    assert "12 runs, 6 excitation tables, largest allowed gap 0: ok" in proc.stdout
 
     # a copy whose example1 gain differs shows a gap on that run alone
     shutil.copytree(ROOT / "src" / "paramest", tmp_path / "paramest",
@@ -43,9 +43,16 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     scenario.write_text(json.dumps(doc))
     proc = run_script("compare_runs.py", tmp_path, "--t-end", "0.2")
     assert proc.returncode == 1, proc.stderr
-    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:-1]}
-    assert len(rows) == 12
-    assert [name for name, gaps in rows.items() if float(gaps[1]) > 0] == ["example1/MGE"]
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["run", "t", "theta_hat", "err_norm", "residual", "storage"]
+    assert lines[13].split() == ["excitation", "t", "rho"]
+    runs = {line.split()[0]: line.split()[1:] for line in lines[1:13]}
+    assert len(runs) == 12
+    assert [name for name, gaps in runs.items() if float(gaps[1]) > 0] == ["example1/MGE"]
+    # the gain does not touch the regressor: every excitation table matches
+    tables = {line.split()[0]: line.split()[1:] for line in lines[14:-1]}
+    assert sorted(tables) == [f"example{i}" for i in range(1, 7)]
+    assert all(float(gap) == 0 for gaps in tables.values() for gap in gaps)
 
 
 STUB_RUN = '''\

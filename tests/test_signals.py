@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paramest.catalog import BUILTIN_NAMES, builtin
+from paramest.catalog import BUILTIN_NAMES, builtin, builtin_t_end
 from paramest.errors import (
     ConfigurationError,
     ScenarioNotFoundError,
@@ -100,6 +102,58 @@ class TestEval:
     def test_evaluate_is_sample_at_one_point(self):
         spec, _, _, _ = builtin("example6")
         assert np.array_equal(spec.evaluate(2.5), spec.sample([2.5])[0])
+
+    def test_sample_of_no_times_is_empty(self):
+        spec = regressor_from_strings(["1", "1/(1+t)"])
+        assert spec.sample([]).shape == (0, 2)
+
+    def test_errors_keep_component_order(self):
+        # component 0 overflows at t = 1 before component 1's denominator vanishes
+        with pytest.raises(SignalEvalError, match="component 0 non-finite"):
+            regressor_from_strings(["exp(1000*t)", "1/(t-1)"]).evaluate(1.0)
+        # one shared denominator, checked once under its first spelling
+        with pytest.raises(SignalEvalError, match=r"in 't - 1'$"):
+            regressor_from_strings(["t-1", "1/(t - 1) + 1/(t-1)"]).evaluate(1.0)
+
+    def test_shared_subexpressions_are_evaluated_once(self, monkeypatch):
+        exprs = [str(c) for c in builtin("example6")[0].components]
+        calls = Counter()
+        for name in ("sin", "cos"):
+            ufunc = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, f=ufunc: calls.update([f.__name__]) or f(x))
+        # example6 reads sin(t) twice and cos(t) twice
+        regressor_from_strings(exprs).sample(np.linspace(0.0, 1.0, 5))
+        assert calls == {"sin": 1, "cos": 1}
+
+    @given(a=_trees, b=_trees, op=st.sampled_from(sorted(_OPS) + ["pow"]))
+    def test_shared_subtrees_sample_like_numpy(self, a, b, op):
+        # the third component holds the first two whole, so it reuses their lines
+        if op == "pow":
+            text, combine = f"pow({a[0]}, {b[0]})", np.power
+        else:
+            text, combine = f"({a[0]} {op} {b[0]})", _OPS[op]
+        spec = regressor_from_strings([a[0], b[0], text])
+        t = np.linspace(0.0, 10.0, 11)
+        want, error = [], None
+        with np.errstate(all="ignore"):
+            for i, direct in enumerate((a[1], b[1], lambda t: combine(want[0], want[1]))):
+                try:
+                    col = direct(t)
+                except _BelowFloor:
+                    error = "denominator"
+                    break
+                if not np.all(np.isfinite(col)):
+                    error = f"component {i} non-finite"
+                    break
+                want.append(col)
+            if error:
+                with pytest.raises(SignalEvalError, match=error):
+                    spec.sample(t)
+                return
+            got = spec.sample(t)
+        for i, col in enumerate(want):
+            assert np.array_equal(got[:, i], col)
+            assert np.array_equal(np.signbit(got[:, i]), np.signbit(col))
 
 
 class TestParser:
@@ -250,6 +304,50 @@ class TestExcitation:
         for window, step in ((math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan)):
             with pytest.raises(ConfigurationError, match="finite"):
                 excitation_report(spec, 0.0, window, step)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected(self, start):
+        spec = regressor_from_strings(["1", "1/(1+t)"])
+        with pytest.raises(ConfigurationError, match=f"window start must be finite, got {start}"):
+            excitation_sweep(spec, [0.0, start], 6.28, 1e-3)
+        with pytest.raises(ConfigurationError, match="window start must be finite"):
+            excitation_report(spec, start, 6.28, 1e-3)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_sweep_matches_per_window_trapezoid(self, name):
+        # more windows than one eigenvalue block, over the scenario's horizon
+        spec, _, _, _ = builtin(name)
+        window, step = 2 * math.pi, 1e-2
+        starts = np.linspace(0.0137, builtin_t_end(name) - window, 600)
+        n = int(round(window / step))
+        h = window / n
+        for (start, rho), want_start in zip(excitation_sweep(spec, starts, window, step), starts):
+            w = spec.sample(want_start + h * np.arange(n + 1))
+            gram = h * (w.T @ w) - 0.5 * h * (np.outer(w[0], w[0]) + np.outer(w[-1], w[-1]))
+            eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+            assert start == want_start
+            assert abs(rho - eigenvalues[0]) <= 1e-12 * eigenvalues[-1]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_report_is_the_sweeps_one_window_case(self, name):
+        spec, _, _, _ = builtin(name)
+        starts = [0.0, 3.3, 17.25]
+        table = excitation_sweep(spec, starts, 2 * math.pi, 1e-3)
+        assert table == [(s, excitation_report(spec, s, 2 * math.pi, 1e-3).min_eigenvalue)
+                         for s in starts]
+
+    def test_sweep_memory_does_not_grow_with_the_window_count(self):
+        spec = regressor_from_strings(["1", "sin(t)", "cos(t)"])
+        starts = 0.01 * np.arange(10_000)
+        tracemalloc.start()
+        try:
+            table = excitation_sweep(spec, starts, 1.0, 0.1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == starts.size
+        # beyond the table: a [10000, 3, 3] stack of Gram matrices would take 720 kB
+        assert peak - current < 400_000
 
     @given(
         coeffs=st.lists(
