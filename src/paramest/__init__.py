@@ -48,7 +48,7 @@ from .signals import (
     parse_expr,
     regressor_from_strings,
 )
-from .sim import SimSettings, convergence_time, rk4_step, simulate
+from .sim import SimSettings, convergence_time, rk4_step, simulate, simulate_all
 from .svgplot import emit_plot
 from .types import (
     EstimationProblem,

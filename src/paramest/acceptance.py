@@ -183,7 +183,8 @@ def _c4_duality():
 
 def _filter_states(spec, settings):
     """Omega after every step of the filter run from zero by ``stage_tables``,
-    the chunk walk ``simulate`` integrates over, over ``spec`` with g = 0."""
+    the tables ``simulate_all`` integrates the filtered configs over, over
+    ``spec`` with g = 0."""
     q = spec.dimension
     problem = EstimationProblem(spec, np.zeros(q))
     states = []

@@ -18,7 +18,7 @@ import sys
 
 from . import catalog, harness, svgplot
 from .errors import ConfigurationError, DivergenceError, SignalEvalError
-from .signals import MAX_STEPS, excitation_sweep
+from .signals import MAX_STEPS, excitation_blocks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,13 +121,14 @@ def _cmd_check_pe(args) -> int:
         raise ConfigurationError(
             f"--t-max {t_max:g} with --step {args.step:g} gives {t_max / args.step:.3g} "
             f"windows, more than the limit of {MAX_STEPS}")
-    starts = [i * args.step for i in range(int(math.floor(t_max / args.step)) + 1)]
-    table = excitation_sweep(spec, starts, args.window, args.dt)
+    # the starts are made, and the rows printed, one block of windows at a time
+    starts = (i * args.step for i in range(int(math.floor(t_max / args.step)) + 1))
+    blocks = excitation_blocks(spec, starts, args.window, args.dt)
     print(f"# {args.scenario}: min eigenvalue of the Gram integral over "
           f"[t, t+{args.window:g}]")
     print(f"{'t':>10}  {'rho':>12}")
-    for t, rho in table:
-        print(f"{t:10.3f}  {rho:12.6g}")
+    for rows in blocks:
+        print("\n".join(f"{t:10.3f}  {rho:12.6g}" for t, rho in rows))
     return 0
 
 

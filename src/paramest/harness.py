@@ -26,7 +26,8 @@ import numpy as np
 
 from . import catalog
 from .errors import ConfigurationError
-from .sim import SimSettings, convergence_time, simulate
+# bench/workloads.py and bench/tracing.py wrap the simulate bound here
+from .sim import SimSettings, convergence_time, simulate, simulate_all  # noqa: F401
 from .signals import excitation_sweep, format_float, regressor_from_strings
 from .types import EstimationProblem, EstimatorConfig, Trajectory, check_name
 
@@ -86,18 +87,22 @@ def count_storage_violations(traj: Trajectory, band: float = STORAGE_BAND) -> in
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Simulate every configured estimator against the shared problem.
+    """Simulate every configured estimator against the shared problem, all in
+    one walk over the time chunks (``sim.simulate_all``): each chunk's
+    regressor samples and filter runs are shared by every estimator.
 
-    Result blocks keep the configuration order; errors are re-raised with the
-    offending estimator label attached.
+    Result blocks keep the configuration order. When estimators fail, the
+    error of the first failing one in configuration order is re-raised with
+    its label attached, as simulating them one after another would raise it.
     """
+    try:
+        trajectories = simulate_all(config.problem, config.estimators, config.settings)
+    except Exception as exc:
+        label = config.estimators[exc.config_index].resolved_label
+        exc.args = (f"[{config.name}/{label}] {exc}",) + exc.args[1:]
+        raise
     runs = []
-    for est in config.estimators:
-        try:
-            traj = simulate(config.problem, est, config.settings)
-        except Exception as exc:
-            exc.args = (f"[{config.name}/{est.resolved_label}] {exc}",) + exc.args[1:]
-            raise
+    for est, traj in zip(config.estimators, trajectories):
         cts = {tol: convergence_time(traj, tol) for tol in CONVERGENCE_TOLERANCES}
         violations = count_storage_violations(traj) if est.variant.uses_manifold_gain else None
         runs.append(EstimatorRun(

@@ -317,12 +317,11 @@ class ExcitationReport:
 def _window_grams(spec: RegressorSpec, starts, T: float, dt: float):
     """Gram integrals of w over the windows [s, s+T], in blocks of windows.
 
-    Yields ``(block, grams)`` for consecutive blocks of at most
+    T and dt are checked at the call, which returns a generator over the
+    starts: it yields ``(block, grams)`` for consecutive blocks of at most
     ``_GRAM_BLOCK`` starts, ``grams[j]`` the symmetrized trapezoid Gram
-    matrix of window ``block[j]``. The node offsets and weights are computed
-    once per sweep, and each window is evaluated into one reused
-    component-major buffer w (q, n+1), whose Gram matrix is
-    ``(w * weights) @ w.T``.
+    matrix of window ``block[j]``, and takes the next block of starts only
+    when the previous one is done (``_gram_blocks``).
     """
     if not 0 < T < np.inf:
         raise ConfigurationError(f"window length must be positive and finite, got {T}")
@@ -335,13 +334,19 @@ def _window_grams(spec: RegressorSpec, starts, T: float, dt: float):
             f"quadrature step {dt:g} over window {T:g} needs {T / dt:.3g} intervals, "
             f"more than the limit of {MAX_STEPS}")
     n = int(round(T / dt))
-    h = T / n
+    return _gram_blocks(spec, iter(starts), n, T / n)
+
+
+def _gram_blocks(spec: RegressorSpec, starts, n: int, h: float):
+    """The blocks of ``_window_grams`` over n intervals of length h. The node
+    offsets and weights are computed once per sweep, and each window is
+    evaluated into one reused component-major buffer w (q, n+1), whose Gram
+    matrix is ``(w * weights) @ w.T``."""
     offsets = h * np.arange(n + 1)
     weights = np.full(n + 1, h)
     weights[0] = weights[-1] = h / 2
     w = np.empty((spec.dimension, n + 1))
     weighted = np.empty_like(w)
-    starts = iter(starts)
     while (block := np.fromiter(itertools.islice(starts, _GRAM_BLOCK), float)).size:
         finite = np.isfinite(block)
         if not finite.all():
@@ -377,7 +382,13 @@ def excitation_sweep(spec: RegressorSpec, starts, T: float, dt: float):
     ``_GRAM_BLOCK``, so the sweep's working memory does not grow with the
     number of starts.
     """
-    table = []
-    for block, grams in _window_grams(spec, starts, T, dt):
-        table += zip(block.tolist(), np.linalg.eigvalsh(grams)[:, 0].tolist())
-    return table
+    return list(itertools.chain.from_iterable(excitation_blocks(spec, starts, T, dt)))
+
+
+def excitation_blocks(spec: RegressorSpec, starts, T: float, dt: float):
+    """The (start, rho) pairs of ``excitation_sweep``, one list per block of
+    at most ``_GRAM_BLOCK`` starts, each made when it is asked for: the starts
+    may be any iterable, read one block at a time. T and dt are checked at
+    the call, before the first block."""
+    return (list(zip(block.tolist(), np.linalg.eigvalsh(grams)[:, 0].tolist()))
+            for block, grams in _window_grams(spec, starts, T, dt))

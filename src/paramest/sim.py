@@ -21,27 +21,30 @@ estimate at rest stays there to the bit, and a chunk whose scan is not
 finite falls back to the per-step update. It reads tables expanded at the
 state it starts from, ``affine_rk4(y, f, dt)``: every scan starts from
 z = 0, and the step maps before the first step that would move y are
-zeroed into identity maps. ``simulate`` and the acceptance criteria
+zeroed into identity maps. ``simulate_all`` and the acceptance criteria
 integrate through it, and ``rk4_step`` is the independent one-step
 reference the tests pin it to.
 
-``simulate`` walks the time axis in chunks of ``CHUNK_STEPS`` (512) steps,
-so its memory is bounded by a chunk and the recorded rows, not by the
-horizon; the step maps need no long chunks to amortize their build.
-``stage_tables`` is that chunk walk: per chunk it samples the regressor on
-the half-step grid and builds the stage tables (a, b) the law of
-``estimators.LAWS`` reads: (w, g) at each stage time
-for GE/MGE, and for the filtered variants the (Omega, G) stage values that
-``filters.filter_scan`` computes for the whole chunk at once, since the filter
-does not depend on the estimate. Every law is affine in the estimate, so one
-vectorized call of the law at the q + 1 points [e_1 ... e_q, theta_s] builds
-the affine stage table f of the law expanded at the estimate theta_s the
-chunk starts from (``_affine_tables``). The estimate alone then
-runs through ``affine_rk4`` on that table, whatever the variant, and is
-carried with the filter state from chunk to chunk. Expanding at theta_s, not
-at 0, keeps an estimate at rest exactly where the law puts it: y - theta_s
-is exactly 0 until the estimate moves, and the identity maps ``affine_rk4``
-puts before the first step that moves it keep it at theta_s to the bit.
+``simulate_all`` walks the time axis in chunks of ``CHUNK_STEPS`` (512)
+steps, once per scenario, for all of its estimator configs at once, so its
+memory is bounded by a chunk and the recorded rows, not by the horizon; the
+step maps need no long chunks to amortize their build. Per chunk it samples
+the regressor once on the half-step grid and builds the stage tables (a, b)
+the laws of ``estimators.LAWS`` read: (w, g) at each stage time for GE/MGE,
+built once, and for the filtered variants the (Omega, G) stage values that
+``filters.filter_scan`` computes for the whole chunk at once, since the
+filter does not depend on the estimate: one scan for each distinct
+``filter_init``, its state carried from chunk to chunk (``stage_tables``
+yields the same tables for one filter state). Every law is affine in the
+estimate, so for each config one vectorized call of its law at the q + 1
+points [e_1 ... e_q, theta_s] builds the affine stage table f of the law
+expanded at the estimate theta_s the chunk starts from (``_affine_tables``).
+The estimate alone then runs through ``affine_rk4`` on that table, whatever
+the variant, and is carried to the next chunk. ``simulate`` is that walk
+over one config. Expanding at theta_s, not at 0, keeps an estimate at rest
+exactly where the law puts it: y - theta_s is exactly 0 until the estimate
+moves, and the identity maps ``affine_rk4`` puts before the first step that
+moves it keep it at theta_s to the bit.
 Started at the truth, the unfiltered estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
@@ -53,11 +56,13 @@ t_end = 5 in the determinant and adjugate of its one law call per chunk.
 
 Divergence is detected after every step, checked once per chunk on the
 states ``affine_rk4`` returns: the first step with a non-finite estimate entry
-or an estimate norm above 1e12 aborts the run with its time and component.
+or an estimate norm above 1e12 aborts that config's run with its time and
+component, and the walk goes on with the configs listed before it.
 The tables and the engine run with numpy's overflow and invalid-value
 warnings silenced, so a diverging run reports only that step.
-Error norms and manifold diagnostics are computed from the recorded
-estimates after the loop.
+The recorded estimates of all configs go into one ``[configs, rows, q]``
+array. A recorded trajectory keeps a view of its rows only, and computes its
+error norms and manifold diagnostics from them each time they are read.
 """
 from __future__ import annotations
 
@@ -133,7 +138,7 @@ class SimSettings:
     @cached_property
     def record_times(self) -> np.ndarray:
         """Times of ``record_steps``: one read-only array, shared by every
-        trajectory ``simulate`` records under these settings."""
+        trajectory ``simulate_all`` records under these settings."""
         times = np.array(self.record_steps) * self.dt
         times.setflags(write=False)
         return times
@@ -146,7 +151,7 @@ class SimSettings:
 
     @property
     def chunks(self) -> list[tuple[int, int]]:
-        """(start, stop) steps of the chunks ``simulate`` walks, in order."""
+        """(start, stop) steps of the chunks ``simulate_all`` walks, in order."""
         n = self.n_steps
         return [(k, min(k + CHUNK_STEPS, n)) for k in range(0, n, CHUNK_STEPS)]
 
@@ -297,22 +302,24 @@ def stage_tables(problem: EstimationProblem, state: FilterState | None,
     """Yield (start, stop, a, b, filter state after the chunk) for each chunk
     of ``settings.chunks``, with (a[4j+s], b[4j+s]) the law's inputs at stage
     s of step start+j: the filter run from ``state`` by ``filters.filter_scan``
-    (a ``[4m, q, q]``, b ``[4m, q]``), or (w, g) when ``state`` is None. This is
-    the one chunk walk ``simulate`` integrates over."""
+    (a ``[4m, q, q]``, b ``[4m, q]``), or (w, g) when ``state`` is None. These
+    are the tables ``simulate_all`` builds, chunk by chunk, for the configs
+    that start from ``state``."""
     for start, stop in settings.chunks:
-        a, b, state = _chunk_tables(problem, state, settings, start, stop)
+        w, g = _sampled(problem, settings, start, stop)
+        a, b, state = _chunk_tables(w, g, state, settings.dt)
         yield start, stop, a, b, state
-        del a, b  # released before the next chunk's are built
+        del w, g, a, b  # released before the next chunk's are built
 
 
-def _chunk_tables(problem: EstimationProblem, state: FilterState | None,
-                  settings: SimSettings, start: int, stop: int):
-    w, g = _sampled(problem, settings, start, stop)
+def _chunk_tables(w: np.ndarray, g: np.ndarray, state: FilterState | None, dt: float):
+    """(a, b, filter state after the chunk) over one chunk's half-step samples
+    (w, g), as ``stage_tables`` yields them."""
     if state is None:
-        index = stage_index(stop - start)
+        index = stage_index((len(w) - 1) // 2)
         return w[index], g[index], None
-    q = problem.dimension
-    omega_ext, g_ext, state = filter_scan(state, w, g, settings.dt)
+    q = w.shape[-1]
+    omega_ext, g_ext, state = filter_scan(state, w, g, dt)
     return omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q), state
 
 
@@ -331,58 +338,151 @@ def _affine_tables(law, theta_s: np.ndarray, a: np.ndarray, b: np.ndarray,
     return law(np.vstack([np.eye(q), theta_s]), a[:, None], b_points, tau, mu)
 
 
+def _chunk_states(config: EstimatorConfig, theta_s: np.ndarray, a: np.ndarray,
+                  b: np.ndarray, dt: float, start: int) -> np.ndarray:
+    """The estimate of ``config`` after each step of the chunk from step
+    ``start``, ``[m + 1, q]`` from theta_s, over the stage tables (a, b).
+    Raises DivergenceError at the first row past the bound."""
+    f = _affine_tables(LAWS[config.variant], theta_s, a, b, config.tau, config.mu)
+    ys = affine_rk4(theta_s, f, dt)
+    del f  # released before the next config's table is built
+    # the squared norm of a row holding inf or nan is inf or nan, so it
+    # fails the bound as well
+    bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2
+    if not bounded.all():
+        j = int(np.argmin(bounded))
+        nonfin = np.nonzero(~np.isfinite(ys[j]))[0]
+        comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(ys[j])))
+        raise DivergenceError(
+            f"state diverged by t={(start + j) * dt} (component {comp}, "
+            f"variant {config.variant.value}, dt={dt})"
+        )
+    return ys
+
+
+def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
+                 settings: SimSettings) -> list[Trajectory]:
+    """Integrate every config against one problem in one walk over the
+    chunks, and record one trajectory per config, in config order.
+
+    Each chunk samples the regressor once, builds the (w, g) stage tables
+    once, and runs the filter once for each distinct ``filter_init`` among
+    the filtered configs, carrying each filter state to the next chunk; every
+    config then integrates its estimate over the tables it reads. Each
+    trajectory is what ``simulate`` records for its config alone, to the bit:
+    its estimates are a view of one ``[len(configs), rows, q]`` array, and its
+    error norms, residuals and storage are computed from them when read.
+
+    A config whose run fails leaves the walk, and so do the configs after it.
+    When any fails, the error of the first failing config in config order is
+    raised, as running ``simulate`` on each config in order would raise it,
+    with that config's index in ``configs`` set as its ``config_index``; a
+    regressor that fails at a chunk fails every config still running.
+    """
+    if not configs:
+        return []
+    q = problem.dimension
+    dt = settings.dt
+    ks = np.array(settings.record_steps)
+    runs = {}  # config index -> (table key, estimate the next chunk starts from)
+    states = {}  # table key -> filter state the next chunk starts from
+    failed = []  # (config index, error) of the first failing config
+
+    def fail(i, exc):
+        failed[:] = [(i, exc)]
+        for j in [j for j in runs if j >= i]:
+            del runs[j]
+
+    for i, config in enumerate(configs):
+        try:
+            state0 = config.initial_state(q)
+        except Exception as exc:
+            fail(i, exc)
+            break
+        # the configs of one key start from bit-identical filter states
+        key = None if state0.filter is None else float(config.filter_init).hex()
+        states.setdefault(key, state0.filter)
+        runs[i] = key, state0.theta_hat
+    if runs:
+        try:
+            estimates = np.empty((len(configs), len(ks), q))
+        except Exception as exc:
+            fail(min(runs), exc)
+    # the tables of a diverging chunk overflow from the step it diverges at
+    # on; every non-finite entry reaches the state it feeds, so the bound
+    # check names that step, and no warning leaks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in settings.chunks:
+            if not runs:
+                break
+            try:
+                w, g = _sampled(problem, settings, start, stop)
+            except Exception as exc:
+                fail(min(runs), exc)
+                break
+            tables = {}  # table key -> (a, b) of this chunk, built on first use
+            lo, hi = np.searchsorted(ks, [start, stop + 1])
+            for i, (key, theta_s) in list(runs.items()):
+                try:
+                    if key not in tables:
+                        a, b, states[key] = _chunk_tables(w, g, states[key], dt)
+                        tables[key] = a, b
+                    ys = _chunk_states(configs[i], theta_s, *tables[key], dt, start)
+                except Exception as exc:
+                    fail(i, exc)
+                    break
+                estimates[i, lo:hi] = ys[ks[lo:hi] - start]
+                runs[i] = key, ys[-1]
+            # release this chunk's tables before the next chunk's are built
+            del w, g, tables
+    if failed:
+        (i, exc), = failed
+        exc.config_index = i
+        raise exc
+
+    return [_RecordedTrajectory(settings.record_times, estimates[i], problem.true_params,
+                                config.mu)
+            for i, config in enumerate(configs)]
+
+
+class _RecordedTrajectory(Trajectory):
+    """The trajectory of one run: it keeps its times and estimates only, and
+    computes the error norms, manifold residuals and storage values from them,
+    the true parameters and mu, each time they are read. A kept run then
+    holds one ``[rows, q]`` array, not that and three ``[rows]`` arrays."""
+
+    def __init__(self, times: np.ndarray, estimates: np.ndarray,
+                 true_params: np.ndarray, mu: float):
+        self.times, self.estimates = times, estimates
+        self._true_params, self._mu = true_params, mu
+
+    @property
+    def err_norms(self) -> np.ndarray:
+        terr = self._true_params - self.estimates
+        # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i
+        return np.sqrt((terr[:, None, :] @ terr[:, :, None]).ravel())
+
+    @property
+    def manifold_residuals(self) -> np.ndarray:
+        if self.dimension < 2:
+            return np.full(len(self), np.nan)
+        return manifold_residual(self._true_params - self.estimates, self._mu)
+
+    @property
+    def storage_values(self) -> np.ndarray:
+        return storage(self.manifold_residuals)
+
+
 def simulate(problem: EstimationProblem, config: EstimatorConfig,
              settings: SimSettings) -> Trajectory:
-    """Integrate one estimator against one problem and record its trajectory.
+    """Integrate one estimator against one problem and record its trajectory:
+    ``simulate_all`` on that one config.
 
     Rows are recorded at ``settings.record_steps``, always including t = 0
     and the final step. Deterministic: identical inputs give identical
     trajectories.
     """
-    q = problem.dimension
-    state0 = config.initial_state(q)
-    theta_s = state0.theta_hat
-    variant = config.variant
-    dt = settings.dt
-    tau, mu = config.tau, config.mu
-    law = LAWS[variant]
-    times = settings.record_times
-    ks = np.array(settings.record_steps)
-    estimates = np.empty((len(times), q))
-    # the tables of a diverging chunk overflow from the step it diverges at
-    # on; every non-finite entry reaches the state it feeds, so the check
-    # below names that step, and no warning leaks
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, a, b, _ in stage_tables(problem, state0.filter, settings):
-            f = _affine_tables(law, theta_s, a, b, tau, mu)
-            ys = affine_rk4(theta_s, f, dt)
-            # release this chunk's tables before the next chunk's are built
-            del a, b, f
-            # the squared norm of a row holding inf or nan is inf or nan, so it
-            # fails the bound as well
-            bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2
-            if not bounded.all():
-                j = int(np.argmin(bounded))
-                nonfin = np.nonzero(~np.isfinite(ys[j]))[0]
-                comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(ys[j])))
-                raise DivergenceError(
-                    f"state diverged by t={(start + j) * dt} (component {comp}, "
-                    f"variant {variant.value}, dt={dt})"
-                )
-            lo, hi = np.searchsorted(ks, [start, stop + 1])
-            estimates[lo:hi] = ys[ks[lo:hi] - start]
-            theta_s = ys[-1]
-
-    terr = problem.true_params - estimates
-    # batched matmul rounds each row exactly as the vector dot terr_i @ terr_i
-    err_norms = np.sqrt((terr[:, None, :] @ terr[:, :, None]).ravel())
-    if q >= 2:
-        residuals = manifold_residual(terr, mu)
-    else:
-        residuals = np.full(len(times), np.nan)
-    return Trajectory(times=times, estimates=estimates,
-                      err_norms=err_norms, manifold_residuals=residuals,
-                      storage_values=storage(residuals))
+    return simulate_all(problem, [config], settings)[0]
 
 
 def convergence_time(traj: Trajectory, tol: float) -> float | None:

@@ -142,7 +142,8 @@ class Trajectory:
 
     All arrays share the leading length; manifold_residuals and
     storage_values are NaN for one-dimensional problems where the manifold
-    is undefined.
+    is undefined. The trajectories ``sim`` records keep their times and
+    estimates only, and compute the other three from them when read.
     """
 
     times: np.ndarray                # (n,)

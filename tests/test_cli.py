@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -202,6 +204,20 @@ class TestCheckPe:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert len(err.splitlines()) == 1
+
+    def test_rows_are_printed_block_by_block(self):
+        # 7251 windows: their starts and (start, rho) rows held at once would
+        # take about 1.2 MB; made and printed a block at a time they do not add up
+        args = ["check-pe", "--scenario", "example1", "--window", "1", "--dt", "0.1"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(args + ["--step", "1"]) == 0  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                assert main(args + ["--step", "0.004"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 400_000
 
     def test_coarse_quadrature_rejected(self, capsys):
         code = main(["check-pe", "--scenario", "example1", "--window", "0.005"])

@@ -1,14 +1,17 @@
+import collections
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import paramest
+from paramest import sim
 from paramest.catalog import BUILTIN_NAMES, builtin_problem
-from paramest.errors import ConfigurationError
+from paramest.errors import ConfigurationError, SignalEvalError
 from paramest.harness import (
     OutputPaths,
     ScenarioConfig,
@@ -21,8 +24,9 @@ from paramest.harness import (
     run_scenario,
     scenario_from_name,
 )
-from paramest.sim import SimSettings
-from paramest.types import EstimatorConfig, Trajectory, Variant
+from paramest.signals import RegressorSpec, regressor_from_strings
+from paramest.sim import CHUNK_STEPS, SimSettings, simulate
+from paramest.types import EstimationProblem, EstimatorConfig, Trajectory, Variant
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -120,6 +124,103 @@ class TestRunScenario:
             settings=SimSettings(t_end=1.0))
         with pytest.raises(Exception, match="boom/hot"):
             run_scenario(config)
+
+    @pytest.mark.parametrize("first,second", [
+        ("late", "early"), ("early", "late"), ("late", "bad_theta"), ("bad_theta", "late")])
+    def test_error_names_the_first_listed_failing_estimator(self, first, second):
+        # "late" diverges in the third chunk, "early" in the first and
+        # "bad_theta" before any step; run one after another, the first listed
+        # failing estimator raises, whichever fails first in time
+        problem = EstimationProblem(regressor_from_strings(["1", "cos(t)"]),
+                                    np.array([1.0, 2.0]))
+        failing = {
+            "late": EstimatorConfig(variant=Variant.MGE, tau=1.0, mu=30.0, label="late"),
+            "early": EstimatorConfig(variant=Variant.GE, tau=1e9, label="early"),
+            "bad_theta": EstimatorConfig(variant=Variant.GE, tau=1.0,
+                                         theta_hat_0=np.zeros(3), label="bad_theta"),
+        }
+        settings = SimSettings(t_end=2.0)
+        ok = EstimatorConfig(variant=Variant.MRE, tau=1.0, label="ok")
+        config = ScenarioConfig(name="boom", problem=problem, settings=settings,
+                                estimators=[ok, failing[first], failing[second]])
+        with pytest.raises(Exception) as alone:
+            simulate(problem, failing[first], settings)
+        with pytest.raises(type(alone.value)) as joint:
+            run_scenario(config)
+        assert str(joint.value) == f"[boom/{first}] {alone.value}"
+
+    def test_regressor_failure_names_the_first_running_estimator(self):
+        problem = EstimationProblem(regressor_from_strings(["1", "pow(1.3 - t, 0.5)"]),
+                                    np.array([1.0, 2.0]))
+        config = ScenarioConfig(
+            name="boom", problem=problem, settings=SimSettings(t_end=2.0),
+            estimators=[EstimatorConfig(variant=Variant.MRE, tau=1.0, label="a"),
+                        EstimatorConfig(variant=Variant.GE, tau=1.0, label="b")])
+        with pytest.raises(SignalEvalError, match=r"^\[boom/a\] component 1 non-finite"):
+            run_scenario(config)
+
+    def test_stage_tables_are_built_once_per_chunk(self, monkeypatch):
+        # example6's four estimators share one regressor sample and, three
+        # of them filtered from one filter_init, one filter scan per chunk
+        calls = collections.Counter()
+        scan, sample = sim.filter_scan, RegressorSpec.sample
+
+        def counted_scan(*args):
+            calls["filter_scan"] += 1
+            return scan(*args)
+
+        def counted_sample(*args):
+            calls["sample"] += 1
+            return sample(*args)
+
+        monkeypatch.setattr(sim, "filter_scan", counted_scan)
+        monkeypatch.setattr(RegressorSpec, "sample", counted_sample)
+        config = scenario_from_name("example6", t_end=(2 * CHUNK_STEPS + 100) * 1e-3)
+        assert len(config.estimators) == 4 and len(config.settings.chunks) == 3
+        run_scenario(config)
+        assert calls == {"filter_scan": 3, "sample": 3}
+
+    def test_joint_walk_matches_each_estimator_alone(self):
+        # every variant from a generic start with filter_init 0.1, and again
+        # from the truth with filter_init 0: each run is its simulate call's,
+        # to the bit, and the runs at the truth stay there exactly
+        problem = builtin_problem("example6")
+        truth = problem.true_params
+        estimators = []
+        for variant in Variant:
+            estimators += [
+                EstimatorConfig(variant=variant, tau=10.0, mu=0.95, theta_hat_0=[0.5, -1.0, 2.0],
+                                filter_init=0.1, label=f"{variant.value}_start"),
+                EstimatorConfig(variant=variant, tau=10.0, mu=0.95, theta_hat_0=truth.copy(),
+                                label=f"{variant.value}_truth")]
+        settings = SimSettings(t_end=(2 * CHUNK_STEPS + 100) * 1e-3, record_every=7)
+        assert settings.n_steps % CHUNK_STEPS != 0
+        result = run_scenario(ScenarioConfig(name="joint", problem=problem,
+                                             estimators=estimators, settings=settings))
+        fields = ("times", "estimates", "err_norms", "manifold_residuals", "storage_values")
+        for est, run in zip(estimators, result.runs):
+            alone = simulate(problem, est, settings)
+            for name in fields:
+                ours, ref = getattr(run.trajectory, name), getattr(alone, name)
+                assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), \
+                    f"{run.label}.{name}"
+            if run.label.endswith("_truth"):
+                assert np.all(run.trajectory.err_norms == 0.0), run.label
+
+    def test_kept_runs_hold_their_estimates_only(self):
+        # error norms, residuals and storage are computed from the estimates
+        # when read, so a kept result holds about one [rows, q] array per run
+        config = scenario_from_name("example6", t_end=10.0)
+        run_scenario(config)  # first-call caches: record times, compiled regressor
+        tracemalloc.start()
+        try:
+            result = run_scenario(config)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows, q = len(config.settings.record_steps), config.problem.dimension
+        runs = len(result.runs)
+        assert kept < runs * rows * (q + 1) * 8  # not one more [rows] array a run
 
     def test_storage_violation_counter(self):
         n = 4
