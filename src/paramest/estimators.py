@@ -178,8 +178,10 @@ def ge_closed_form_scalar(omega: RegressorSpec, tau: float, theta_err_0: float,
 # --------------------------------------------------------------------------
 # Determinant and adjugate over leading axes in one pass, as DREM needs both:
 # closed forms for q <= 3 unpacked by one reshaped transpose (m[..., i, j] costs
-# 2-4x), LU determinants of m and its stacked minors above. The adjugate is
-# C-contiguous: a matmul rounds a stack as its single matrices only so.
+# 2-4x); above, the LU determinant and Stewart's SVD form of the adjugate
+# ("On the adjugate matrix", LAA 283, 1998), O(q^3) per matrix and exact zeros
+# at m = 0. The adjugate is C-contiguous: a matmul rounds a stack as its single
+# matrices only so.
 # --------------------------------------------------------------------------
 
 def det(m: np.ndarray) -> np.ndarray:
@@ -191,9 +193,6 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     """Transpose of the cofactor matrix of ``m`` ``[..., q, q]``;
     adj(m) @ m = det(m) * I for every leading index."""
     return _det_adjugate(m)[1]
-
-
-_MINOR_ENTRIES = 2 ** 18
 
 
 def _det_adjugate(m: np.ndarray):
@@ -212,16 +211,13 @@ def _det_adjugate(m: np.ndarray):
                d * h - e * g, b * g - a * h, a * e - b * d)
         delta = a * adj[0] - b * (d * i - f * g) + c * adj[6]
     else:
-        # keep[i] lists the indices other than i; minors[n, i, j] drops row i, column j.
-        # The minors hold q^4 entries per matrix, so a stack is taken in slices
-        # whose minors hold at most _MINOR_ENTRIES entries.
-        keep = np.array([[k for k in range(q) if k != i] for i in range(q)])
-        sign = (-1.0) ** np.add.outer(np.arange(q), np.arange(q))
-        cofactors = np.empty(m.shape)
-        flat, out = m.reshape(-1, q, q), cofactors.reshape(-1, q, q)
-        step = max(1, _MINOR_ENTRIES // q ** 4)
-        for s in range(0, len(flat), step):
-            minors = flat[s:s + step, keep[:, None, :, None], keep[None, :, None, :]]
-            np.multiply(sign, np.linalg.det(minors), out=out[s:s + step])
-        return np.linalg.det(m), cofactors.swapaxes(-1, -2)
+        # adj(m) = det(U) det(Vh) V diag(prod_{j != i} s_j) U^T for m = U diag(s) Vh,
+        # the products taken without division so that a zero s is safe. The SVD
+        # raises on nan and does not return on inf, so non-finite m get a nan adjugate.
+        bad = ~np.isfinite(m).all(axis=(-2, -1))[..., None, None]
+        u, s, vh = np.linalg.svd(np.where(bad, 0.0, m))
+        others = np.where(np.eye(q, dtype=bool), 1.0, s[..., None, :]).prod(-1)
+        sign = np.sign(np.linalg.det(u) * np.linalg.det(vh))[..., None, None]
+        adj = (sign * vh.swapaxes(-1, -2) * others[..., None, :]) @ u.swapaxes(-1, -2)
+        return np.linalg.det(m), np.where(bad, np.nan, adj)
     return delta.T, np.ascontiguousarray(np.array(adj).T).reshape(m.shape)

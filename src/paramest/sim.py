@@ -50,9 +50,9 @@ Started at the truth, the unfiltered estimates never move.
 The affine tables are sized for small q, as in the builtins (q <= 3), where
 their speed-up was measured: f holds q^2 + q entries per stage and d as many
 per step for every variant, the law runs over q + 1 points per stage, and
-the map build costs O(q^3) per step. On a sin(k t) regressor at q = 16 a
-GE run peaks at 9.4 MB (tracemalloc), and DREM spends its 26 s over
-t_end = 5 in the determinant and adjugate of its one law call per chunk.
+the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
+q = 16 over t_end = 5 a GE run peaks at 9.5 MB (tracemalloc), and DREM takes
+1.8 s, most of it in the SVD adjugate of its one law call per chunk.
 
 Divergence is detected after every step, checked once per chunk on the
 states ``affine_rk4`` returns: the first step with a non-finite estimate entry
@@ -490,7 +490,7 @@ def convergence_time(traj: Trajectory, tol: float) -> float | None:
 
     None when the final recorded error still exceeds tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigurationError("tolerance must be positive")
     above = np.nonzero(traj.err_norms > tol)[0]
     if above.size == 0:

@@ -21,6 +21,10 @@ class TestList:
 class TestRun:
     UNIT = {"regressor": ["1"], "true_params": [1]}
     OVERFLOWING = {"regressor": ["exp(1000*t)", "1"], "true_params": [1, 2]}
+    # w stays finite over the first chunk but w w^T overflows in it, so at q = 4
+    # DREM's SVD adjugate meets a non-finite Omega inside a chunk
+    OVERFLOWING_Q4 = {"regressor": ["exp(1000*t)", "1", "sin(t)", "cos(t)"],
+                      "true_params": [1, 2, 3, 4]}
 
     def test_builtin_writes_csv_and_svg(self, tmp_path, capsys):
         code = main(["run", "--scenario", "example1", "--t-end", "2",
@@ -58,7 +62,9 @@ class TestRun:
         (OVERFLOWING, {"variant": "MRE", "tau": 1}, {"t_end": 3.0}, "0.011"),
         (OVERFLOWING, {"variant": "GE", "tau": 1}, {"t_end": 3.0}, "0.007"),
         (OVERFLOWING, {"variant": "DREM", "tau": 1}, {"t_end": 3.0}, "0.011"),
-    ], ids=["tau1e9", "record_every100", "overflow-MRE", "overflow-GE", "overflow-DREM"])
+        (OVERFLOWING_Q4, {"variant": "DREM", "tau": 1}, {"t_end": 2.0}, "0.029"),
+    ], ids=["tau1e9", "record_every100", "overflow-MRE", "overflow-GE", "overflow-DREM",
+            "overflow-DREM-q4"])
     def test_divergent_run_exits_2(self, tmp_path, capsys, problem, estimator, settings, t):
         doc = {"problem": problem, "estimators": [estimator], "settings": settings}
         cfg = tmp_path / "hot.json"
@@ -69,6 +75,7 @@ class TestRun:
         err = capsys.readouterr().err
         # the first step past the bound is the one named
         assert len(err.splitlines()) == 1
+        assert err.startswith("simulation diverged: ")
         assert f"diverged by t={t} " in err and "Warning" not in err
 
     @pytest.mark.parametrize("field,patch", [

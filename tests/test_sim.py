@@ -470,3 +470,10 @@ class TestConvergenceTime:
         traj = self._traj([0.0], [0.0])
         with pytest.raises(ConfigurationError):
             convergence_time(traj, 0.0)
+
+    def test_nan_tolerance_rejected(self):
+        # no error compares above nan, so it would report convergence at the
+        # first recorded time
+        traj = self._traj([0.0, 1.0], [3.0, 2.5])
+        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
+            convergence_time(traj, float("nan"))
