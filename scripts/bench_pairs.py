@@ -11,10 +11,12 @@ metric whose direction the checkout's BENCHMARK.json declares (raw.* metrics
 take the direction of the metric they are the raw form of) gets each side's
 median, inclusive quartiles and runs, pr_wins (pairs in which this checkout
 is better; ties count for neither) and change (median over parent median,
-minus 1).
+minus 1). FILE records the parent's commit: --parent-commit, else HEAD of
+PARENT_DIR when it is a git checkout, else the commit the parent's run
+reports (a ``git archive`` copy has none, so pass --parent-commit).
 
 Usage: python scripts/bench_pairs.py PARENT_DIR --workload W [--seed S]
-           --pairs N --out FILE [--trace]
+           --pairs N --out FILE [--trace] [--parent-commit SHA]
 """
 import argparse
 import json
@@ -60,6 +62,16 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
         elif match := ENVIRONMENT.match(line):
             run["environment"] = json.loads(match[1])
     return run
+
+
+def git_head(checkout: Path) -> str | None:
+    """HEAD of ``checkout`` when it is a git checkout itself, else None."""
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    head = proc.stdout.strip()
+    return head if proc.returncode == 0 and head else None
 
 
 def directions(checkout: Path) -> dict:
@@ -116,6 +128,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--trace", action="store_true",
                         help="run with --trace 1 and record the per-layer metrics")
+    parser.add_argument("--parent-commit",
+                        help="the commit PARENT_DIR holds (default: its git HEAD)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -138,8 +152,10 @@ def main(argv=None) -> int:
     doc.setdefault("method", METHOD)
     env = new["pr"][0]["environment"]
     doc.setdefault("environment", {k: env[k] for k in ENV_KEYS if k in env})
-    if new["parent"][0]["environment"].get("commit"):
-        doc.setdefault("parent_commit", new["parent"][0]["environment"]["commit"])
+    parent_commit = (args.parent_commit or git_head(checkouts["parent"])
+                     or new["parent"][0]["environment"].get("commit"))
+    if parent_commit:
+        doc.setdefault("parent_commit", parent_commit)
     doc.setdefault("workloads", {})[key] = merged = merge(entry, new, directions(ROOT))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

@@ -29,6 +29,7 @@ from .sim import (
     simulate,
     stage_index,
     stage_tables,
+    step_maps,
 )
 from .types import EstimationProblem, EstimatorConfig, EstimatorState, Variant
 
@@ -162,7 +163,7 @@ def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
     f = np.empty((len(w), q + 1, q))
     f[:, :q] = -w[:, :, None] * mge_gain(w, tau, mu)[:, None, :]
     f[:, q] = theta_err_0 @ f[:, :q]
-    return affine_rk4(theta_err_0, f, settings.dt)[settings.record_steps]
+    return affine_rk4(theta_err_0, step_maps(f, settings.dt))[settings.record_steps]
 
 
 def _c4_duality():
@@ -293,7 +294,7 @@ def _rk4_global_error(dt: float) -> float:
     """Error at t = 1 of the production engine on dy/dt = -y, y(0) = 1."""
     n = SimSettings(t_end=1.0, dt=dt).n_steps
     # dy/dt = -y expanded at y(0) = 1
-    y = affine_rk4(np.array([1.0]), np.tile([[-1.0], [-1.0]], (4 * n, 1, 1)), dt)[-1]
+    y = affine_rk4(np.array([1.0]), step_maps(np.tile([[-1.0], [-1.0]], (4 * n, 1, 1)), dt))[-1]
     return abs(float(y[0]) - math.exp(-1.0))
 
 

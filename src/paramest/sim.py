@@ -17,12 +17,13 @@ compose associatively, so ``affine_rk4`` runs them as a blocked scan
 batched products and two short loops per chunk of K steps, instead of four
 right-hand-side evaluations and the stage sums per step. Its states match
 the per-step update to rounding (at most 5.3e-13 over the builtin runs), an
-estimate at rest stays there to the bit, and a chunk whose scan is not
-finite falls back to the per-step update. It reads tables expanded at the
-state it starts from, ``affine_rk4(y, f, dt)``: every scan starts from
-z = 0, and the step maps before the first step that would move y are
-zeroed into identity maps. ``simulate_all`` and the acceptance criteria
-integrate through it, and ``rk4_step`` is the independent one-step
+estimate at rest stays there to the bit, and a config whose scan is not
+finite falls back to the per-step update. It reads step tables expanded at
+the state they start from, ``affine_rk4(y, step_maps(f, dt))``, on leading
+config axes that one scan runs, each config to the bit as alone: every scan
+starts from z = 0, and the step maps before the first step that would move
+y are zeroed into identity maps. ``simulate_all`` and the acceptance
+criteria integrate through it, and ``rk4_step`` is the independent one-step
 reference the tests pin it to.
 
 ``simulate_all`` walks the time axis in chunks of ``CHUNK_STEPS`` (512)
@@ -38,19 +39,21 @@ filter does not depend on the estimate: one scan for each distinct
 yields the same tables for one filter state). Every law is affine in the
 estimate, so for each config one vectorized call of its law at the q + 1
 points [e_1 ... e_q, theta_s] builds the affine stage table f of the law
-expanded at the estimate theta_s the chunk starts from (``_affine_tables``).
-The estimate alone then runs through ``affine_rk4`` on that table, whatever
-the variant, and is carried to the next chunk. ``simulate`` is that walk
-over one config. Expanding at theta_s, not at 0, keeps an estimate at rest
-exactly where the law puts it: y - theta_s is exactly 0 until the estimate
-moves, and the identity maps ``affine_rk4`` puts before the first step that
-moves it keep it at theta_s to the bit.
-Started at the truth, the unfiltered estimates never move.
+expanded at the estimate theta_s the chunk starts from (``_group_states``).
+The step tables ``[G, K, q + 1, q]`` of a group, the configs of one variant
+reading one table key, run through one ``affine_rk4`` scan, and each
+estimate is carried to the next chunk. ``simulate`` is that walk over one
+config. Expanding at theta_s, not at 0, keeps an estimate at rest exactly
+where the law puts it: y - theta_s is exactly 0 until the estimate moves,
+and the identity maps ``affine_rk4`` puts before the first step that moves
+it keep it at theta_s to the bit. Started at the truth, the unfiltered
+estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
 their speed-up was measured: f holds q^2 + q entries per stage and d as many
-per step for every variant, the law runs over q + 1 points per stage, and
-the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
+per step for every variant (197 and 49 kB per chunk at q = 3; one f and one
+group's d are alive at a time), the law runs over q + 1 points per stage,
+and the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
 q = 16 over t_end = 5 a GE run peaks at 9.5 MB (tracemalloc), and DREM takes
 1.8 s, most of it in the SVD adjugate of its one law call per chunk.
 
@@ -204,43 +207,45 @@ def step_maps(f: np.ndarray, dt: float) -> np.ndarray:
     return (dt / 6.0) * g_sum
 
 
-def affine_rk4(y: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 from y on ``dx/dt = [x - y, 1] @ f[i]``, the law expanded
-    at the state it starts from, i = 4k + s naming stage s of step k (stage 0
-    at t_k, stages 1 and 2 at t_k + dt/2, stage 3 at t_k + dt), one affine
-    step map per step (``step_maps``). Returns the states ``[K + 1, q]`` of
-    the K = len(f) / 4 steps: row k is the state after k steps, row 0 is y.
+def affine_rk4(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Classical RK4 from y over the step tables d of a law expanded at the
+    state it starts from, ``d = step_maps(f, dt)`` for f the stage table of
+    ``dx/dt = [x - y, 1] @ f[i]``. Leading axes run independent configs:
+    y ``[..., q]``, d ``[..., K, q + 1, q]``. Returns the states
+    ``[..., K + 1, q]``: row k is the state after k steps, row 0 is y.
     Overflow and invalid-value warnings are silenced: a state that leaves its
     bounds shows as inf or nan in the rows, for the caller to find.
 
-    The step tables d hold m_k = d[k, q] and N_k = d[k, :q], and the steps
-    run as a blocked scan of the maps ``z+ = z + m_k + z @ N_k`` of z = x - y
-    from z = 0 (``_scan``). The rows agree with the per-step update
+    d[k] holds m_k = d[k, q] and N_k = d[k, :q], and the steps run as one
+    blocked scan over all configs of the maps ``z+ = z + m_k + z @ N_k`` of
+    z = x - y from z = 0 (``_scan``). The rows agree with the per-step update
     ``x+ = x + (m_k + (x - y) @ N_k)`` (``_step_loop``) to rounding, not to
     the bit: over the 12 builtin runs the largest gap is 5.3e-13 (example5
     MGE_MRE). Two things are exact. A y at rest stays there, to the bit,
     until the first step the per-step update moves it (``y + m_k != y``, or
     a non-finite N_k): the maps before that step are zeroed into identity
-    maps, so the scan keeps z at 0 over them, and its first moving row is
-    ``[0, 1] @ D_k = m_k``, the per-step update's. In z, sub-ulp m_k would
-    add up where y absorbs them. And a chunk whose scanned rows are not all
-    finite is recomputed by the per-step update, so an overflow shows at the
-    step it happens, and a block product that overflows on a component the
-    state does not hold cannot turn ``0 * inf`` into a false nan.
+    maps, in d itself, so the scan keeps z at 0 over them, and its first
+    moving row is ``[0, 1] @ D_k = m_k``, the per-step update's. In z,
+    sub-ulp m_k would add up where y absorbs them. And a config whose
+    scanned rows are not all finite is recomputed by the per-step update, so
+    an overflow shows at the step it happens, and a block product that
+    overflows on a component the state does not hold cannot turn ``0 * inf``
+    into a false nan.
     """
-    ys = np.empty((len(f) // 4 + 1, len(y)))
-    ys[0] = y
+    (k, _, q), lead = d.shape[-3:], y.shape[:-1]
+    y, d = y.reshape(-1, q), d.reshape(-1, k, q + 1, q)
+    ys = np.empty((len(y), k + 1, q))
+    ys[:, 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        d = step_maps(f, dt)
         # a step moves y when y + m_k rounds to a new value, or when 0 @ N_k
         # is nan; the steps before the first one that moves keep y
-        moves = ((y + d[:, -1] != y).any(axis=1)
-                 | ~np.isfinite(d[:, :-1]).all(axis=(1, 2)))
-        d[~np.logical_or.accumulate(moves)] = 0.0
-        ys[1:] = y + _scan(d)
-        if not np.isfinite(ys[1:]).all():
-            _step_loop(ys, d)
-    return ys
+        moves = ((y[:, None] + d[:, :, -1] != y[:, None]).any(axis=2)
+                 | ~np.isfinite(d[:, :, :-1]).all(axis=(2, 3)))
+        d[~np.logical_or.accumulate(moves, axis=1)] = 0.0
+        ys[:, 1:] = y[:, None] + _scan(d)
+        for j in np.flatnonzero(~np.isfinite(ys[:, 1:]).all(axis=(1, 2))):
+            _step_loop(ys[j], d[j])
+    return ys.reshape(lead + (k + 1, q))
 
 
 def _step_loop(ys: np.ndarray, d: np.ndarray) -> None:
@@ -255,39 +260,43 @@ def _step_loop(ys: np.ndarray, d: np.ndarray) -> None:
 
 
 def _scan(d: np.ndarray) -> np.ndarray:
-    """z after each of the K affine maps ``z+ = z + [z, 1] @ d[k]`` from
-    z = 0, ``[K, q]``, as a two-level blocked scan.
+    """z after each of the K affine maps ``z+ = z + [z, 1] @ d[c, k]`` from
+    z = 0, ``[C, K, q]``, for each of the C configs of d ``[C, K, q + 1, q]``,
+    as one two-level blocked scan.
 
     In homogeneous coordinates [z, 1] each map is the square matrix I + D_k,
-    D_k holding d[k] in its first q columns and 0 in its last. The K maps
+    D_k holding d[c, k] in its first q columns and 0 in its last. The K maps
     are split into blocks of about sqrt(K). One loop over the position i in
-    a block builds, for all blocks at once, the prefix products
+    a block builds, for all configs and blocks at once, the prefix products
     ``I + Q_i = (I + D_0) ... (I + D_i)`` in the form
     ``Q_i = Q_{i-1} + D_i + Q_{i-1} @ D_i``, which keeps the small N_k apart
     from the identity; the top rows of I + Q_i are the prefix product P_i of
     the I + N_k and its last row the offset S_i. A short loop carries the
-    state z_b over the block starts from ``[0, 1]``, and every row is then
+    states z_b over the block starts from ``[0, 1]``, and every row is then
     ``z_b @ P_i + S_i = z_b + z_b @ Q_i`` at once. Zero maps leave z at 0
     exactly, and the first row after them is the next map's offset, m_k.
+    Every product is one config's, so each config's rows are those of a scan
+    of its maps alone, to the bit.
     """
-    k, q = len(d), d.shape[-1]
+    c, k, q = d.shape[0], d.shape[1], d.shape[-1]
     size = math.isqrt(k - 1) + 1  # ceil(sqrt(K)): blocks of ~sqrt(K) steps
     n_blocks = -(-k // size)
     # the padded steps are identity maps, D = 0
-    sq = np.zeros((n_blocks * size, q + 1, q + 1))
-    sq[:k, :, :q] = d
-    sq = sq.reshape(n_blocks, size, q + 1, q + 1)
+    sq = np.zeros((c, n_blocks * size, q + 1, q + 1))
+    sq[:, :k, :, :q] = d
+    sq = sq.reshape(c * n_blocks, size, q + 1, q + 1)
     for i in range(1, size):
         prod = sq[:, i - 1] @ sq[:, i]
         prod += sq[:, i - 1]
         sq[:, i] += prod
-    starts = np.empty((n_blocks, q + 1))
-    zb = np.eye(q + 1)[q]  # [z, 1] at z = 0
+    # block b of every config is sq[b::n_blocks]
+    starts = np.empty((c * n_blocks, 1, q + 1))
+    zb = np.tile(np.eye(q + 1)[q], (c, 1, 1))  # [z, 1] at z = 0
     for b in range(n_blocks):
-        starts[b] = zb
-        zb = zb + zb @ sq[b, -1]
-    rows = starts[:, None, :] + (starts[:, None, None, :] @ sq)[:, :, 0]
-    return rows.reshape(-1, q + 1)[:k, :q]
+        starts[b::n_blocks] = zb
+        zb = zb + zb @ sq[b::n_blocks, -1]
+    rows = starts + (starts[:, None] @ sq)[:, :, 0]
+    return rows.reshape(c, -1, q + 1)[:, :k, :q]
 
 
 def _sampled(problem: EstimationProblem, settings: SimSettings, start: int, stop: int):
@@ -323,29 +332,28 @@ def _chunk_tables(w: np.ndarray, g: np.ndarray, state: FilterState | None, dt: f
     return omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q), state
 
 
-def _affine_tables(law, theta_s: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   tau: float, mu: float) -> np.ndarray:
-    """f ``[n, q + 1, q]`` with ``law(y, a[i], b[i]) = [y - theta_s, 1] @ f[i]``.
+def _group_states(configs: list[EstimatorConfig], thetas: np.ndarray,
+                  a_points: np.ndarray, b_points: np.ndarray, dt: float) -> np.ndarray:
+    """The estimates ``[G, m + 1, q]`` of a group's configs over a chunk from
+    thetas ``[G, q]``, with its stage tables (a, b) as the law reads them at
+    q + 1 points: a at each, b zero except at point q.
 
-    Every law is affine in the estimate, so row j < q of f[i], column j of
-    the law's matrix, is law(e_j, a[i], 0), and row q is law(theta_s, a[i],
-    b[i]). One call builds them all: the q + 1 points [e_1 ... e_q, theta_s]
-    go on a leading axis, with b zero except at point q.
-    """
-    q = theta_s.shape[-1]
-    b_points = np.zeros((len(b), q + 1) + b.shape[1:])
-    b_points[:, q] = b
-    return law(np.vstack([np.eye(q), theta_s]), a[:, None], b_points, tau, mu)
+    Each config's law builds f ``[n, q + 1, q]``, ``law(y, a[i], b[i]) =
+    [y - theta_s, 1] @ f[i]``: every law is affine in the estimate, so row
+    j < q of f[i] is law(e_j, a[i], 0) and row q is law(theta_s, a[i], b[i]),
+    from one call at the points [e_1 ... e_q, theta_s]. f becomes its step
+    maps at once, and one ``affine_rk4`` scan runs the group's."""
+    q = thetas.shape[-1]
+    d = np.empty((len(configs), len(b_points) // 4, q + 1, q))
+    for j, c in enumerate(configs):
+        points = np.vstack([np.eye(q), thetas[j]])
+        d[j] = step_maps(LAWS[c.variant](points, a_points, b_points, c.tau, c.mu), dt)
+    return affine_rk4(thetas, d)
 
 
-def _chunk_states(config: EstimatorConfig, theta_s: np.ndarray, a: np.ndarray,
-                  b: np.ndarray, dt: float, start: int) -> np.ndarray:
-    """The estimate of ``config`` after each step of the chunk from step
-    ``start``, ``[m + 1, q]`` from theta_s, over the stage tables (a, b).
-    Raises DivergenceError at the first row past the bound."""
-    f = _affine_tables(LAWS[config.variant], theta_s, a, b, config.tau, config.mu)
-    ys = affine_rk4(theta_s, f, dt)
-    del f  # released before the next config's table is built
+def _check_bounded(ys: np.ndarray, config: EstimatorConfig, dt: float, start: int) -> None:
+    """Raise DivergenceError at the first row of ys ``[m + 1, q]``, the
+    estimates of ``config`` over the chunk from step ``start``, past the bound."""
     # the squared norm of a row holding inf or nan is inf or nan, so it
     # fails the bound as well
     bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2
@@ -357,7 +365,6 @@ def _chunk_states(config: EstimatorConfig, theta_s: np.ndarray, a: np.ndarray,
             f"state diverged by t={(start + j) * dt} (component {comp}, "
             f"variant {config.variant.value}, dt={dt})"
         )
-    return ys
 
 
 def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
@@ -420,19 +427,31 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
             except Exception as exc:
                 fail(min(runs), exc)
                 break
-            tables = {}  # table key -> (a, b) of this chunk, built on first use
             lo, hi = np.searchsorted(ks, [start, stop + 1])
-            for i, (key, theta_s) in list(runs.items()):
+            groups = {}  # (variant, table key) -> its configs' indices, in order
+            for i, (key, _) in runs.items():
+                groups.setdefault((configs[i].variant, key), []).append(i)
+            tables = {}  # table key -> its point tables of this chunk, built once
+            for (_, key), group in groups.items():
+                # a failure removes the configs after it from every group
+                if not (group := [i for i in group if i in runs]):
+                    continue
+                i = group[0]  # the config a failure of the shared tables names
                 try:
                     if key not in tables:
                         a, b, states[key] = _chunk_tables(w, g, states[key], dt)
-                        tables[key] = a, b
-                    ys = _chunk_states(configs[i], theta_s, *tables[key], dt, start)
+                        b_points = np.zeros((len(b), q + 1) + b.shape[1:])
+                        b_points[:, q] = b
+                        tables[key] = a[:, None], b_points
+                    ys = _group_states([configs[i] for i in group],
+                                       np.array([runs[i][1] for i in group]),
+                                       *tables[key], dt)
+                    for i, ys_i in zip(group, ys):
+                        _check_bounded(ys_i, configs[i], dt, start)
+                        estimates[i, lo:hi] = ys_i[ks[lo:hi] - start]
+                        runs[i] = key, ys_i[-1].copy()
                 except Exception as exc:
                     fail(i, exc)
-                    break
-                estimates[i, lo:hi] = ys[ks[lo:hi] - start]
-                runs[i] = key, ys[-1]
             # release this chunk's tables before the next chunk's are built
             del w, g, tables
     if failed:

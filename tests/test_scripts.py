@@ -75,10 +75,12 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
 '''
 
 
-def test_bench_pairs_alternates_and_merges(tmp_path):
+def stub_checkouts(tmp_path, parent_commit):
+    """Parent and change checkouts under tmp_path whose bench/run.py is
+    STUB_RUN; the parent's run reports ``parent_commit`` as its commit."""
     # the parent's wall_s is 10 plus the number of runs before it: 10, 13, 14, 17
-    sides = {"parent": dict(passes=2, commit="abc", raw=11.0, wall="10.0 + calls", work=5.0,
-                            rss=40.0),
+    sides = {"parent": dict(passes=2, commit=parent_commit, raw=11.0, wall="10.0 + calls",
+                            work=5.0, rss=40.0),
              "pr": dict(passes=3, commit="def", raw=9.0, wall=8.0, work=6.0, rss=41.0)}
     for side, values in sides.items():
         (tmp_path / side / "bench").mkdir(parents=True)
@@ -86,15 +88,23 @@ def test_bench_pairs_alternates_and_merges(tmp_path):
     (tmp_path / "pr" / "scripts").mkdir()
     shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "pr" / "scripts")
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "pr")
+
+
+def run_bench_pairs(tmp_path, out, pairs, *args):
+    return subprocess.run(
+        [sys.executable, str(tmp_path / "pr" / "scripts" / "bench_pairs.py"),
+         str(tmp_path / "parent"), "--workload", "reproduce", "--seed", "7",
+         "--pairs", str(pairs), "--out", str(out), *args],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_bench_pairs_alternates_and_merges(tmp_path):
+    stub_checkouts(tmp_path, "abc")
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"change": "kept"}))
 
     def run(pairs):
-        return subprocess.run(
-            [sys.executable, str(tmp_path / "pr" / "scripts" / "bench_pairs.py"),
-             str(tmp_path / "parent"), "--workload", "reproduce", "--seed", "7",
-             "--pairs", str(pairs), "--out", str(out)],
-            capture_output=True, text=True, timeout=120)
+        return run_bench_pairs(tmp_path, out, pairs)
 
     proc = run(3)
     assert proc.returncode == 0, proc.stderr
@@ -122,3 +132,24 @@ def test_bench_pairs_alternates_and_merges(tmp_path):
     assert metrics["work_per_s"]["pr_wins"] == 4 and metrics["work_per_s"]["change"] == 0.2
     assert metrics["peak_rss_mb"]["pr_wins"] == 0
     assert metrics["raw.wall_s"]["better"] == "lower" and metrics["raw.wall_s"]["pr_wins"] == 4
+
+
+def test_bench_pairs_records_the_parent_commit_of_a_copy(tmp_path):
+    # the parent's run reports no commit, as in a git archive copy
+    stub_checkouts(tmp_path, "")
+    proc = run_bench_pairs(tmp_path, tmp_path / "none.json", 1)
+    assert proc.returncode == 0, proc.stderr
+    assert "parent_commit" not in json.loads((tmp_path / "none.json").read_text())
+    proc = run_bench_pairs(tmp_path, tmp_path / "given.json", 1, "--parent-commit", "f00d")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "given.json").read_text())["parent_commit"] == "f00d"
+
+    # a parent that is a git checkout: its HEAD, found by git
+    git = ["git", "-C", str(tmp_path / "parent"), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "bench"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, check=True, capture_output=True, timeout=60)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True, timeout=60).stdout.strip()
+    proc = run_bench_pairs(tmp_path, tmp_path / "git.json", 1)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "git.json").read_text())["parent_commit"] == head

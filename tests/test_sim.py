@@ -14,10 +14,13 @@ from paramest.signals import MAX_STEPS, RegressorSpec, regressor_from_strings
 from paramest.sim import (
     CHUNK_STEPS,
     SimSettings,
+    _scan,
+    _step_loop,
     affine_rk4,
     convergence_time,
     rk4_step,
     simulate,
+    simulate_all,
     step_maps,
 )
 from paramest.types import (
@@ -137,14 +140,14 @@ def decay_table(y, n_steps):
 
 class TestAffineRk4:
     def test_returns_every_step_from_the_input(self):
-        ys = affine_rk4(np.array([1.0]), decay_table(np.array([1.0]), 7), 0.1)
+        ys = affine_rk4(np.array([1.0]), step_maps(decay_table(np.array([1.0]), 7), 0.1))
         assert ys.shape == (8, 1)
         assert ys[0, 0] == 1.0
 
     def test_matches_repeated_rk4_step(self):
         dt = 0.01
         y = np.array([1.0, -2.0])
-        states = affine_rk4(y, decay_table(y, 100), dt)
+        states = affine_rk4(y, step_maps(decay_table(y, 100), dt))
         for k in range(101):
             assert np.max(np.abs(states[k] - y)) <= 1e-15
             y = rk4_step(lambda t, v: -v, k * dt, y, dt)
@@ -156,7 +159,7 @@ class TestAffineRk4:
         # y = [0, 1]
         n_steps = 512
         f = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, -1.0]], (4 * n_steps, 1, 1))
-        ys = affine_rk4(np.array([0.0, 1.0]), f, 1e-3)
+        ys = affine_rk4(np.array([0.0, 1.0]), step_maps(f, 1e-3))
         assert ys.shape == (n_steps + 1, 2) and np.all(np.isfinite(ys))
         assert np.all(ys[:, 0] == 0.0)
         assert ys[-1, 1] == pytest.approx(math.exp(-n_steps * 1e-3), rel=1e-12)
@@ -188,7 +191,7 @@ class TestAffineRk4:
         for d_k in d:
             ref.append(ref[-1] + (d_k[q] + (ref[-1] - y) @ d_k[:q]))
         ref = np.array(ref)
-        ys = affine_rk4(y, f, dt)
+        ys = affine_rk4(y, step_maps(f, dt))
         rests = np.all(ref == y, axis=1)
         assert np.all(ys[rests] == y)
         if not rests.all():
@@ -214,6 +217,102 @@ class TestAffineRk4:
         out = y + np.append(y - origin, 1.0) @ d[0]
         assert d.shape == (1, q + 1, q)
         assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def stable_table(rng, q, n_steps):
+    """A random stable affine stage table f over n_steps steps."""
+    at = -np.eye(q) + 0.3 * rng.normal(size=(4 * n_steps, q, q))
+    return affine_table(at, rng.normal(size=(4 * n_steps, q)))
+
+
+class TestConfigAxis:
+    """Configs on a leading axis run in one scan, each to the bit as alone."""
+
+    @pytest.mark.parametrize("configs", [1, 2, 5])
+    @pytest.mark.parametrize("n_steps", [1, 13, 512])
+    def test_batched_scan_is_each_configs_scan(self, configs, n_steps):
+        rng = np.random.default_rng(configs * 1000 + n_steps)
+        d = 1e-2 * rng.normal(size=(configs, n_steps, 4, 3))
+        rows = _scan(d)
+        assert rows.shape == (configs, n_steps, 3)
+        for j in range(configs):
+            assert np.array_equal(rows[j], _scan(d[j:j + 1])[0])
+
+    def test_non_finite_config_falls_back_alone(self):
+        # the middle config's block products overflow to 0 * inf = nan (see
+        # test_overflowing_block_product_keeps_a_state_at_zero), so only it
+        # takes the per-step update; its mates keep their scanned rows
+        n_steps, dt = 512, 1e-3
+        rng = np.random.default_rng(3)
+        overflowing = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, -1.0]], (4 * n_steps, 1, 1))
+        tables = [stable_table(rng, 2, n_steps), overflowing, stable_table(rng, 2, n_steps)]
+        y = np.array([[0.5, -1.0], [0.0, 1.0], [2.0, 0.3]])
+        d = np.stack([step_maps(f, dt) for f in tables])
+        ys = affine_rk4(y, d.copy())
+        assert ys.shape == (3, n_steps + 1, 2) and np.all(np.isfinite(ys))
+        assert np.all(ys[1, :, 0] == 0.0)
+        for j, f in enumerate(tables):
+            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(f, dt)))
+        stepped = np.empty_like(ys)
+        stepped[:, 0] = y
+        for j in range(3):
+            _step_loop(stepped[j], d[j])
+        assert np.array_equal(ys[1], stepped[1])
+        for j in (0, 2):
+            scanned = y[j] + _scan(d[j:j + 1])[0]
+            assert np.array_equal(ys[j, 1:], scanned)
+            assert not np.array_equal(ys[j], stepped[j])  # the two differ by rounding
+
+    def test_config_at_rest_stays_there_in_a_group(self):
+        # the middle config's first 300 step offsets lie below half an ulp of
+        # its state, as in test_matches_the_per_step_update; it rests exactly
+        # until step 300 while its mates move from step 0
+        n_steps, rest, dt = 512, 300, 1e-2
+        rng = np.random.default_rng(5)
+        tables = [stable_table(rng, 3, n_steps) for _ in range(3)]
+        y = rng.uniform(1.0, 4.0, size=(3, 3))
+        m = step_maps(tables[1][:4 * rest], dt)[:, 3]
+        scale = 0.4 * np.min(np.spacing(y[1])) / np.max(np.abs(m), axis=1)
+        tables[1][:4 * rest, 3] *= np.repeat(scale, 4)[:, None]
+        ys = affine_rk4(y, np.stack([step_maps(f, dt) for f in tables]))
+        assert np.all(ys[1, :rest + 1] == y[1]) and np.any(ys[1, rest + 1] != y[1])
+        assert np.all(np.any(ys[[0, 2], 1] != y[[0, 2]], axis=1))
+        for j, f in enumerate(tables):
+            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(f, dt)))
+
+    def test_gain_sweep_matches_each_simulate_call(self):
+        # 24 seeded configs cycling the five variants, two filter_init
+        # values: groups of up to five configs share a scan
+        problem, _, _ = make_problem("example6")
+        rng = np.random.default_rng(2026)
+        variants = list(Variant)
+        configs = [EstimatorConfig(variant=variants[i % 5],
+                                   tau=float(np.exp(rng.uniform(-0.7, 3.0))),
+                                   mu=float(rng.uniform(0.05, 0.95)),
+                                   theta_hat_0=rng.normal(0.0, 2.0, 3),
+                                   filter_init=0.1 * (i % 3 == 0))
+                   for i in range(24)]
+        settings = SimSettings(t_end=(2 * CHUNK_STEPS + 76) * 1e-3, record_every=3)
+        for config, joint in zip(configs, simulate_all(problem, configs, settings)):
+            alone = simulate(problem, config, settings)
+            assert joint.estimates.tobytes() == alone.estimates.tobytes()
+            assert joint.err_norms.tobytes() == alone.err_norms.tobytes()
+
+    def test_earlier_config_raises_when_groups_diverge_in_one_chunk(self):
+        # the GE group [0, 2] runs before the MGE group [1]: both diverge at
+        # the first step, and config 1, the first in config order, raises
+        problem = EstimationProblem(regressor_from_strings(["1", "cos(t)"]),
+                                    np.array([1.0, 2.0]))
+        configs = [EstimatorConfig(variant=Variant.GE, tau=1.0),
+                   EstimatorConfig(variant=Variant.MGE, tau=1e9, mu=0.5),
+                   EstimatorConfig(variant=Variant.GE, tau=1e9)]
+        settings = SimSettings(t_end=1.0)
+        with pytest.raises(DivergenceError) as alone:
+            simulate(problem, configs[1], settings)
+        with pytest.raises(DivergenceError) as joint:
+            simulate_all(problem, configs, settings)
+        assert str(joint.value) == str(alone.value)
+        assert "variant MGE" in str(joint.value) and joint.value.config_index == 1
 
 
 class TestSimulate:
