@@ -4,16 +4,18 @@
 Each pair runs ``bench/run.py --workload W --seed S`` once in PARENT_DIR and
 once in the checkout this script sits in, the parent first on odd pairs. The
 last line a run prints is its JSON result; its readable report gives the pass
-count and raw.wall_s. The pairs go into FILE under "W/seedS" ("W/seedS/traced"
-with --trace), merged with what FILE already holds: other keys are kept and
-the runs of each side are appended to earlier pairs of the same key. Every
-metric whose direction the checkout's BENCHMARK.json declares (raw.* metrics
-take the direction of the metric they are the raw form of) gets each side's
-median, inclusive quartiles and runs, pr_wins (pairs in which this checkout
-is better; ties count for neither) and change (median over parent median,
-minus 1). FILE records the parent's commit: --parent-commit, else HEAD of
-PARENT_DIR when it is a git checkout, else the commit the parent's run
-reports (a ``git archive`` copy has none, so pass --parent-commit).
+count, the percentile item_s.tail lands on, and raw.wall_s; the pass counts
+and percentile labels are kept per run. The pairs go into FILE under
+"W/seedS" ("W/seedS/traced" with --trace), merged with what FILE already
+holds: other keys are kept and the runs of each side are appended to earlier
+pairs of the same key. Every metric whose direction the checkout's
+BENCHMARK.json declares (raw.* metrics take the direction of the metric they
+are the raw form of) gets each side's median, inclusive quartiles and runs,
+pr_wins (pairs in which this checkout is better; ties count for neither) and
+change (median over parent median, minus 1). FILE records the parent's
+commit: --parent-commit, else HEAD of PARENT_DIR when it is a git checkout,
+else the commit the parent's run reports (a ``git archive`` copy has none,
+so pass --parent-commit).
 
 Usage: python scripts/bench_pairs.py PARENT_DIR --workload W [--seed S]
            --pairs N --out FILE [--trace] [--parent-commit SHA]
@@ -37,11 +39,13 @@ METHOD = ("parent and change alternate, the parent first on odd pairs; each valu
 PASSES = re.compile(r"^\s+passes: (\d+)$")
 RAW_WALL = re.compile(r"^\s+raw\.wall_s = (\S+) s$")
 ENVIRONMENT = re.compile(r"^\s+environment: (\{.*\})$")
+TAIL_PERCENTILE = re.compile(r'^\s+item_s\.tail_percentile: "(.*)"$')
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
-    """One benchmark run in ``checkout``: its metrics, pass count, environment
-    and whether every item passed the correctness gate."""
+    """One benchmark run in ``checkout``: its metrics, pass count, tail
+    percentile label, environment and whether every item passed the
+    correctness gate."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     if trace:
         cmd += ["--trace", "1"]
@@ -53,10 +57,12 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     result = json.loads(lines[-1])
     run = {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
            "correct": bool(result["correct"]) and result["failed"] == 0,
-           "passes": None, "environment": {}}
+           "passes": None, "tail_percentile": None, "environment": {}}
     for line in lines[:-1]:
         if match := PASSES.match(line):
             run["passes"] = int(match[1])
+        elif match := TAIL_PERCENTILE.match(line):
+            run["tail_percentile"] = match[1]
         elif (match := RAW_WALL.match(line)) and not trace:
             run["metrics"]["raw.wall_s"] = float(match[1])
         elif match := ENVIRONMENT.match(line):
@@ -96,9 +102,11 @@ def merge(entry: dict, new: dict, better: dict) -> dict:
     """``entry`` (a workload's record, possibly empty) with the pairs of ``new``
     (side -> list of runs) appended and every statistic recomputed."""
     passes = entry.get("passes_per_run", {side: [] for side in SIDES})
+    tails = entry.get("tail_percentile_per_run", {side: [] for side in SIDES})
     metrics = entry.get("metrics", {})
     for side in SIDES:
         passes[side] += [run["passes"] for run in new[side]]
+        tails[side] += [run["tail_percentile"] for run in new[side]]
     names = [name for name in new["pr"][0]["metrics"]
              if better.get(name.removeprefix("raw.")) is not None]
     for name in names:
@@ -116,7 +124,7 @@ def merge(entry: dict, new: dict, better: dict) -> dict:
     return {"pairs": entry.get("pairs", 0) + len(new["pr"]),
             "all_correct": entry.get("all_correct", True)
             and all(run["correct"] for side in SIDES for run in new[side]),
-            "passes_per_run": passes, "metrics": metrics}
+            "passes_per_run": passes, "tail_percentile_per_run": tails, "metrics": metrics}
 
 
 def main(argv=None) -> int:

@@ -6,9 +6,10 @@ Each side runs every estimator of every builtin scenario through
 checkout's src/ or to OTHER_SRC. For each run the script prints the largest
 absolute gap in t, theta_hat, error norm, manifold residual and storage, and
 for each scenario the largest gap in its excitation table
-(``ScenarioResult.excitation``: window start t and rho). It exits 1 when any
-gap exceeds --atol (default 0: bit-identical; NaN matches NaN) or when the
-two sides do not record the same runs, tables and shapes.
+(``ScenarioResult.excitation``: window start t and rho), then a summary line
+with the largest gap in each table. It exits 1 when any gap exceeds --atol
+(default 0: bit-identical; NaN matches NaN) or when the two sides do not
+record the same runs, tables and shapes.
 
 Usage: python scripts/compare_runs.py OTHER_SRC [--atol A] [--t-end T]
 """
@@ -96,19 +97,22 @@ def main() -> int:
                 return 1
         this, other = (load(os.path.join(tmp, side + ".npz")) for side in sides)
         failed = False
-        counts = {}
+        counts, largest = {}, {}
         for table, fields in TABLES.items():
             rows = sorted({key.rsplit("/", 1)[0] for key in (*this, *other)
                            if key.startswith(table + "/")})
             counts[table] = len(rows)
+            largest[table] = 0.0
             print(f"{table:24s}" + "".join(f"{field:>12s}" for field in fields))
             for row in rows:
                 gaps = [max_gap(this[key], other[key]) if key in this and key in other
                         else float("inf") for key in (f"{row}/{field}" for field in fields)]
                 failed |= any(gap > args.atol for gap in gaps)
+                largest[table] = max(largest[table], *gaps)
                 print(f"{row.split('/', 1)[1]:24s}" + "".join(f"{gap:12.3g}" for gap in gaps))
     print(f"{counts['run']} runs, {counts['excitation']} excitation tables, "
-          f"largest allowed gap {args.atol:g}: " + ("FAIL" if failed else "ok"))
+          + "".join(f"largest {table} gap {gap:.2g}, " for table, gap in largest.items())
+          + f"largest allowed gap {args.atol:g}: " + ("FAIL" if failed else "ok"))
     return 1 if failed else 0
 
 

@@ -3,7 +3,8 @@
 Subcommands:
     run       simulate a builtin or config-file scenario, write CSV + SVG
     list      show the builtin scenario catalog
-    check-pe  print the sliding-window excitation table for a scenario
+    check-pe  print the sliding-window excitation table of a builtin or
+              config-file scenario's regressor
     verify    run the acceptance/invariant suite and report pass/fail
 
 Exit codes: 0 success, 1 validation error (bad flags, unknown scenario,
@@ -44,11 +45,12 @@ def _build_parser() -> _Parser:
     sub.add_parser("list", help="list builtin scenarios")
 
     p_pe = sub.add_parser("check-pe", help="sliding-window excitation table")
-    p_pe.add_argument("--scenario", required=True, help="builtin scenario name")
+    p_pe.add_argument("--scenario", required=True,
+                      help="builtin name (see 'list') or path to a JSON config")
     p_pe.add_argument("--window", type=float, required=True, help="window length T [s]")
     p_pe.add_argument("--step", type=float, default=0.5, help="window start stride [s]")
     p_pe.add_argument("--t-max", type=float, default=None,
-                      help="last window start (default: scenario horizon - T)")
+                      help="last window start (default: the scenario's t_end - T)")
     p_pe.add_argument("--dt", type=float, default=1e-3, help="quadrature step [s]")
 
     p_ver = sub.add_parser("verify", help="run the acceptance/invariant suite")
@@ -108,13 +110,13 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_check_pe(args) -> int:
-    spec, _, _, _ = catalog.builtin(args.scenario)
+    config = _resolve_scenario(args.scenario, None, None)
     for flag, value in (("--window", args.window), ("--step", args.step)):
         if not 0 < value < math.inf:
             raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
     t_max = args.t_max
     if t_max is None:
-        t_max = max(catalog.builtin_t_end(args.scenario) - args.window, 0.0)
+        t_max = max(config.settings.t_end - args.window, 0.0)
     if not 0 <= t_max < math.inf:
         raise ConfigurationError(f"--t-max must be finite and >= 0, got {t_max}")
     if t_max / args.step > MAX_STEPS:
@@ -123,8 +125,8 @@ def _cmd_check_pe(args) -> int:
             f"windows, more than the limit of {MAX_STEPS}")
     # the starts are made, and the rows printed, one block of windows at a time
     starts = (i * args.step for i in range(int(math.floor(t_max / args.step)) + 1))
-    blocks = excitation_blocks(spec, starts, args.window, args.dt)
-    print(f"# {args.scenario}: min eigenvalue of the Gram integral over "
+    blocks = excitation_blocks(config.problem.regressor, starts, args.window, args.dt)
+    print(f"# {config.name}: min eigenvalue of the Gram integral over "
           f"[t, t+{args.window:g}]")
     print(f"{'t':>10}  {'rho':>12}")
     for rows in blocks:

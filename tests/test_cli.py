@@ -231,6 +231,25 @@ class TestCheckPe:
         assert code == 1
         assert "too coarse" in capsys.readouterr().err
 
+    def test_config_file_with_inline_regressor(self, tmp_path, capsys):
+        doc = {"name": "mini", "problem": {"regressor": ["1", "sin(t)"], "true_params": [1, 2]},
+               "estimators": [{"variant": "GE", "tau": 1.0}], "settings": {"t_end": 8.5}}
+        cfg = tmp_path / "mini.json"
+        cfg.write_text(json.dumps(doc))
+        # no --t-max: the last start is the config's t_end minus the window
+        assert main(["check-pe", "--scenario", str(cfg), "--window", "6.2832",
+                     "--step", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("# mini: ")
+        rows = [line.split() for line in lines[2:]]
+        assert [float(t) for t, _ in rows] == [0.0, 1.0, 2.0]
+        # example1's regressor: rho is pi over a full period from any start
+        assert all(abs(float(rho) - 3.14159) < 1e-4 for _, rho in rows)
+
+    def test_unknown_scenario_exits_1(self, capsys):
+        assert main(["check-pe", "--scenario", "nosuch", "--window", "6.2832"]) == 1
+        assert "unknown scenario 'nosuch'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_criterion_passes(self, capsys):

@@ -32,7 +32,8 @@ def test_run_all_scenarios_writes_csv_and_svg(tmp_path):
 def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     proc = run_script("compare_runs.py", ROOT / "src", "--t-end", "0.2")
     assert proc.returncode == 0, proc.stderr
-    assert "12 runs, 6 excitation tables, largest allowed gap 0: ok" in proc.stdout
+    assert ("12 runs, 6 excitation tables, largest run gap 0, largest excitation gap 0, "
+            "largest allowed gap 0: ok") in proc.stdout
 
     # a copy whose example1 gain differs shows a gap on that run alone
     shutil.copytree(ROOT / "src" / "paramest", tmp_path / "paramest",
@@ -53,6 +54,9 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     tables = {line.split()[0]: line.split()[1:] for line in lines[14:-1]}
     assert sorted(tables) == [f"example{i}" for i in range(1, 7)]
     assert all(float(gap) == 0 for gaps in tables.values() for gap in gaps)
+    summary = lines[-1].split(", ")
+    assert summary[2].startswith("largest run gap ") and float(summary[2].split()[-1]) > 0
+    assert summary[3:] == ["largest excitation gap 0", "largest allowed gap 0: FAIL"]
 
 
 STUB_RUN = '''\
@@ -65,6 +69,7 @@ with open(log, "a") as fh:
     fh.write(here.name + "\\n")
 print("# paramest benchmark: stub")
 print("  passes: %(passes)d")
+print('  item_s.tail_percentile: "%(tail)s"')
 print('  environment: {"nproc": 2, "cpu": "stub", "python": "3", "numpy": "2", '
       '"commit": "%(commit)s", "threads": {}}')
 print("  raw.wall_s = %(raw)s s")
@@ -79,9 +84,10 @@ def stub_checkouts(tmp_path, parent_commit):
     """Parent and change checkouts under tmp_path whose bench/run.py is
     STUB_RUN; the parent's run reports ``parent_commit`` as its commit."""
     # the parent's wall_s is 10 plus the number of runs before it: 10, 13, 14, 17
-    sides = {"parent": dict(passes=2, commit=parent_commit, raw=11.0, wall="10.0 + calls",
-                            work=5.0, rss=40.0),
-             "pr": dict(passes=3, commit="def", raw=9.0, wall=8.0, work=6.0, rss=41.0)}
+    sides = {"parent": dict(passes=2, tail="max of 6", commit=parent_commit, raw=11.0,
+                            wall="10.0 + calls", work=5.0, rss=40.0),
+             "pr": dict(passes=3, tail="max of 9", commit="def", raw=9.0, wall=8.0, work=6.0,
+                        rss=41.0)}
     for side, values in sides.items():
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(STUB_RUN % values)
@@ -121,6 +127,8 @@ def test_bench_pairs_alternates_and_merges(tmp_path):
     entry = doc["workloads"]["reproduce/seed7"]
     assert entry["pairs"] == 4 and entry["all_correct"] is True
     assert entry["passes_per_run"] == {"parent": [2] * 4, "pr": [3] * 4}
+    assert entry["tail_percentile_per_run"] == {"parent": ["max of 6"] * 4,
+                                                "pr": ["max of 9"] * 4}
     metrics = entry["metrics"]
     assert set(metrics) == {"wall_s", "work_per_s", "peak_rss_mb", "raw.wall_s"}
     wall = metrics["wall_s"]

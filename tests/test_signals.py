@@ -61,6 +61,46 @@ def _branches(sub):
 _trees = st.recursive(_leaves, _branches, max_leaves=10)
 
 
+def _mixed_component(rng) -> str:
+    """A random component mixing sin/cos of k*t + c, which a sweep evaluates
+    by the addition formulas, with exp, pow and arithmetic. It stays within
+    a few orders of magnitude of 1 for t in [-60, 1010], so the rounding of
+    an angle shows in a Gram matrix relative to its largest eigenvalue."""
+    def number(lo, hi):
+        return f"{rng.uniform(lo, hi):.3g}"
+
+    def angle():
+        k, c = number(0.25, 3), number(0, 2)
+        arg = rng.choice(["t", "-t", f"{k}*t", f"t*{k}", f"{k}*t + {c}", f"{k}*t - {c}"])
+        return f"{rng.choice(['sin', 'cos'])}({arg})"
+
+    def factor():
+        return rng.choice([
+            angle(), angle(), f"exp(-{number(0, 0.004)}*t)", f"pow(2 + {angle()}, {number(-2, 2)})",
+            f"pow(1 + t*t, {number(-0.2, 0)})", f"{angle()}/(2 + cos(t*t))"])
+
+    def term():
+        return " * ".join(factor() for _ in range(rng.integers(1, 4)))
+
+    return f" {rng.choice(['+', '-'])} ".join(f"{number(0.5, 2)}*{term()}"
+                                             for _ in range(rng.integers(1, 4)))
+
+
+def _trapezoid_rows(spec, starts, window, step):
+    """(start, rho) per window from ``spec.sample`` and the trapezoid weights,
+    with the sweep's operations but the plain program's values."""
+    n = int(round(window / step))
+    offsets = window / n * np.arange(n + 1)
+    weights = np.full(n + 1, window / n)
+    weights[0] = weights[-1] = window / n / 2
+    grams = []
+    for start in starts:
+        w = np.ascontiguousarray(spec.sample(start + offsets).T)
+        grams.append((w * weights) @ w.T)
+    grams = np.array(grams)
+    return list(zip(starts, np.linalg.eigvalsh(0.5 * (grams + grams.transpose(0, 2, 1)))))
+
+
 class TestEval:
     def test_example1_at_zero(self):
         spec, _, _, _ = builtin("example1")
@@ -306,8 +346,9 @@ class TestExcitation:
                 excitation_report(spec, 0.0, window, step)
 
     @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
-    def test_non_finite_start_rejected(self, start):
-        spec = regressor_from_strings(["1", "1/(1+t)"])
+    @pytest.mark.parametrize("exprs", [["1", "1/(1+t)"], ["1", "1/(1+t)", "sin(2*t)"]])
+    def test_non_finite_start_rejected(self, start, exprs):
+        spec = regressor_from_strings(exprs)
         with pytest.raises(ConfigurationError, match=f"window start must be finite, got {start}"):
             excitation_sweep(spec, [0.0, start], 6.28, 1e-3)
         with pytest.raises(ConfigurationError, match="window start must be finite"):
@@ -335,6 +376,45 @@ class TestExcitation:
         table = excitation_sweep(spec, starts, 2 * math.pi, 1e-3)
         assert table == [(s, excitation_report(spec, s, 2 * math.pi, 1e-3).min_eigenvalue)
                          for s in starts]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_separable_sweep_matches_sampled_trapezoid(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = regressor_from_strings([_mixed_component(rng) for _ in range(rng.integers(1, 4))])
+        assert spec._sweep[2], "no node the sweep reads from angle tables"
+        starts = np.concatenate([[-50.0, 0.0, 1e3], rng.uniform(-50.0, 1e3, 12)])
+        table = excitation_sweep(spec, starts, 2 * math.pi, 1e-2)
+        for (start, rho), (want_start, eigenvalues) in zip(
+                table, _trapezoid_rows(spec, starts, 2 * math.pi, 1e-2), strict=True):
+            assert start == want_start
+            assert abs(rho - eigenvalues[0]) <= 1e-11 * eigenvalues[-1]
+
+    @pytest.mark.parametrize("exprs", [
+        ["1", "exp(-0.25*t)"],
+        ["sin(t*t)", "cos(t/2)", "sin(2*t*1)", "pow(1 + t*t, 0.5) * cos(exp(-t))"],
+    ])
+    def test_sweep_without_separable_nodes_is_the_plain_program(self, exprs):
+        spec = regressor_from_strings(exprs)
+        assert not spec._sweep[2]
+        starts = np.linspace(-3.0, 40.0, 30)
+        want = [(s, eigenvalues[0])
+                for s, eigenvalues in _trapezoid_rows(spec, starts, 2 * math.pi, 1e-2)]
+        assert excitation_sweep(spec, starts, 2 * math.pi, 1e-2) == want
+
+    @pytest.mark.parametrize("text,start", [
+        ("sin(t)*exp(800*t)", 0.0),  # exp overflows past t = 0.887
+        ("1/sin(t)", 0.0),  # the first node's denominator is 0
+        ("sin(1e308*t)", 0.0),  # the angle overflows within the window
+        ("cos(1e308*t + 1)", 1e10),  # the angle overflows at the start
+    ])
+    def test_separable_sweep_errors_match_sampling(self, text, start):
+        spec = regressor_from_strings(["1", text])
+        assert spec._sweep[2]
+        with pytest.raises(SignalEvalError) as want:
+            spec.sample(start + 6.29 / 629 * np.arange(630))
+        with pytest.raises(SignalEvalError) as got:
+            excitation_report(spec, start, 6.29, 0.01)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     def test_sweep_memory_does_not_grow_with_the_window_count(self):
         spec = regressor_from_strings(["1", "sin(t)", "cos(t)"])
