@@ -345,14 +345,22 @@ class TestExcitation:
             with pytest.raises(ConfigurationError, match="finite"):
                 excitation_report(spec, 0.0, window, step)
 
-    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("exprs", [["1", "1/(1+t)"], ["1", "1/(1+t)", "sin(2*t)"]])
-    def test_non_finite_start_rejected(self, start, exprs):
+    @staticmethod
+    def _assert_non_finite_start_rejected(exprs, start):
         spec = regressor_from_strings(exprs)
         with pytest.raises(ConfigurationError, match=f"window start must be finite, got {start}"):
             excitation_sweep(spec, [0.0, start], 6.28, 1e-3)
         with pytest.raises(ConfigurationError, match="window start must be finite"):
             excitation_report(spec, start, 6.28, 1e-3)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected(self, start):
+        self._assert_non_finite_start_rejected(["1", "1/(1+t)"], start)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected_with_angle_tables(self, start):
+        # sin(2*t) is read from the sweep's angle tables
+        self._assert_non_finite_start_rejected(["1", "1/(1+t)", "sin(2*t)"], start)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_sweep_matches_per_window_trapezoid(self, name):
