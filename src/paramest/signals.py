@@ -24,18 +24,17 @@ every window start; it is only interval exciting when the bound holds on a
 single finite window.
 
 Every window has its nodes at ``s + offsets`` with the same offsets, so a
-sweep runs its own compile of the components in which each separable node,
-sin or cos of ``k*t + c`` for literals k and c (the argument t, -t, k*t or
-t*k, optionally plus or minus a literal), is not evaluated node by node but
-by the addition formula sin(ks + c + ko) = sin(ks + c) cos(ko) +
-cos(ks + c) sin(ko): from tables of sin and cos of k*offsets built once per
-sweep and two scalars per window. Every other node (exp, pow, the
-arithmetic, a sin or cos of any other argument) and the finiteness and
-denominator checks are the same as in ``RegressorSpec.sample``, which, like
-the simulation, never takes this path. The rounding differs from sampling
-node by node: over the builtin scenarios rho moves by at most 4e-15, and
-for the random mixed regressors of the tests, with starts in [-50, 1e3], by
-at most 2.5e-13 of the window's largest Gram eigenvalue.
+sweep runs its own compile of the components (``_gram_blocks``): its
+constants are computed once per sweep, each separable node, sin or cos of ``k*t + c``
+for literals k and c, comes from the addition formula sin(ks + c + ko) =
+sin(ks + c) cos(ko) + cos(ks + c) sin(ko) as one matrix product per window
+and distinct k, and finiteness is tested once per window, on its Gram
+matrix, with any failing window evaluated again by sampling so that it
+raises sampling's error. ``RegressorSpec.sample``, like the simulation,
+never takes this path. Over the ``pe-scan`` tables of the builtin scenarios
+rho moves by at most 4.5e-15 from the sampled windows', and for the random
+mixed regressors of the tests, with starts in [-50, 1e3], by at most
+2.5e-13 of the window's largest Gram eigenvalue.
 """
 from __future__ import annotations
 
@@ -81,7 +80,10 @@ def _children(node: ast.expr) -> list:
 
 
 def _nonzero(b, label: str):
-    """The denominator b, unless it comes within the floor of zero."""
+    """The denominator b, unless it comes within the floor of zero (a nan
+    entry passes). A b of one sign is passed on its minimum or maximum."""
+    if b.min(initial=np.inf) >= _DENOM_FLOOR or b.max(initial=-np.inf) <= -_DENOM_FLOOR:
+        return b
     if np.min(np.abs(b), initial=np.inf) < _DENOM_FLOOR:
         raise SignalEvalError(f"denominator magnitude below {_DENOM_FLOOR:g} in {label}")
     return b
@@ -158,10 +160,13 @@ def _angle(source: str, node: ast.expr):
 def _program(exprs, checked: bool, sweep: bool = False):
     """Compile grammar trees into one straight-line function over all of them.
 
-    exprs holds ``(source, tree)`` pairs. Returns ``(run, literals, angles)``:
-    ``run(t, _one, _out, _w)`` stores expression i's value at the times t in
-    ``_out[i]``, and with ``checked`` first passes it through ``_finite``;
-    ``_one`` is ``np.ones_like(t)``, needed only when ``literals`` is true.
+    exprs holds ``(source, tree)`` pairs. Returns ``(make, literals,
+    angles)``. ``make(_one)`` runs the prelude, the value lines that read
+    neither t nor a ``_w[j]`` (literals and arithmetic on them), under
+    ``np.errstate(all="ignore")`` and returns ``run(t, _out, _w)``, which
+    stores expression i's value at the times t, shaped like ``_one``, in
+    ``_out[i]``, with ``checked`` first passing it through ``_finite``.
+    ``_one`` is an array of ones, needed only when ``literals`` is true.
 
     With ``sweep``, each sin or cos node that ``_angle`` reads as
     ``(func, k, c)`` is not computed from t: its value is ``_w[j]``, an
@@ -177,20 +182,28 @@ def _program(exprs, checked: bool, sweep: bool = False):
     next expression's, so an error names the component that evaluating the
     expressions one at a time would name. A denominator is checked once by
     ``_nonzero``, before its first division and labelled by that occurrence.
-    Literals read ``_k[i] * _one``: arrays like t, because numpy takes other
-    loops for scalar operands (power with a scalar exponent rounds
-    differently). Each value is deleted after its last use.
+    Checks and stores stay in ``run``, in that order, so a constant ``1/0``
+    raises there as it would with no prelude. Literals read ``_k[i] * _one``:
+    arrays like t, because numpy takes other loops for scalar operands
+    (power with a scalar exponent rounds differently). Each value of ``run``
+    is deleted after its last use; the prelude's live as long as ``run``.
     """
+    prelude = []  # statements
     lines = []  # (statement, names of the values it reads)
     consts = []
     angles = []
     names = {}  # key -> name of the value of that subexpression
+    fixed = set()  # names of the prelude's values
     denominators = set()
 
     def line(key, text, reads):
         if key not in names:
-            names[key] = f"_v{len(names)}"
-            lines.append((f"{names[key]} = {text}", reads))
+            names[key] = name = f"_v{len(names)}"
+            if key[0] != "w" and fixed.issuperset(reads):
+                fixed.add(name)
+                prelude.append(f"{name} = {text}")
+            else:
+                lines.append((f"{name} = {text}", reads))
         return names[key]
 
     for i, (source, tree) in enumerate(exprs):
@@ -237,13 +250,18 @@ def _program(exprs, checked: bool, sweep: bool = False):
     last = {name: j for j, (_, reads) in enumerate(lines) for name in reads}
     body = []
     for j, (text, reads) in enumerate(lines):
-        dead = sorted({name for name in reads if name != "t" and last[name] == j})
+        dead = sorted({name for name in reads if last[name] == j} - fixed - {"t"})
         body += [text] + ([f"del {', '.join(dead)}"] if dead else [])
+    setup = "".join(f"        {text}\n" for text in prelude)
+    source = ("def make(_one):\n"
+              + (f"    with _errstate(all='ignore'):\n{setup}" if setup else "")
+              + "    def run(t, _out, _w=()):\n" + "".join(f"        {text}\n" for text in body)
+              + "    return run\n")
     scope = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-             "pow": np.power, "_nonzero": _nonzero, "_finite": _finite, "_k": consts}
-    exec(compile("def run(t, _one, _out, _w=()):\n"
-                 + "".join(f"    {text}\n" for text in body), "<signal>", "exec"), scope)
-    return scope["run"], bool(consts), angles
+             "pow": np.power, "_nonzero": _nonzero, "_finite": _finite, "_k": consts,
+             "_errstate": np.errstate}
+    exec(compile(source, "<signal>", "exec"), scope)
+    return scope["make"], bool(consts), angles
 
 
 class SignalExpr:
@@ -275,9 +293,9 @@ class SignalExpr:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        run, literals, _ = self._compiled
+        make, literals, _ = self._compiled
         out = [None]
-        run(t, np.ones_like(t) if literals else None, out)
+        make(np.ones_like(t) if literals else None)(t, out)
         return out[0]
 
     def __str__(self):
@@ -317,15 +335,15 @@ class RegressorSpec:
     def __post_init__(self):
         if len(self.components) < 1:
             raise ConfigurationError("regressor needs at least one component")
-        run, literals, _ = _program([c._tree for c in self.components], checked=True)
-        object.__setattr__(self, "_run", run)
+        make, literals, _ = _program([c._tree for c in self.components], checked=True)
+        object.__setattr__(self, "_make", make)
         object.__setattr__(self, "_literals", literals)
 
     @functools.cached_property
     def _sweep(self):
         """The ``_program`` of the components with ``sweep``: the one that
         ``_gram_blocks`` runs, compiled on the spec's first sweep."""
-        return _program([c._tree for c in self.components], checked=True, sweep=True)
+        return _program([c._tree for c in self.components], checked=False, sweep=True)
 
     @property
     def dimension(self) -> int:
@@ -347,7 +365,7 @@ class RegressorSpec:
         time: a component not finite at every time raises SignalEvalError
         before the next one is computed."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self._run(ts, np.ones_like(ts) if self._literals else None, out)
+            self._make(np.ones_like(ts) if self._literals else None)(ts, out)
 
 
 def regressor_from_strings(exprs) -> RegressorSpec:
@@ -400,50 +418,64 @@ def _window_grams(spec: RegressorSpec, starts, T: float, dt: float):
 
 def _gram_blocks(spec: RegressorSpec, starts, n: int, h: float):
     """The blocks of ``_window_grams`` over n intervals of length h. The node
-    offsets and weights are computed once per sweep, and each window is
-    evaluated by the spec's sweep program into one reused component-major
-    buffer w (q, n+1), whose Gram matrix is ``(w * weights) @ w.T``.
+    offsets, weights and the sweep program's prelude are made once per
+    sweep, and each window is evaluated into one reused buffer w (q, n+1),
+    whose Gram matrix is ``(w * weights) @ w.T``.
 
-    The program reads each separable node func(k*t + c) from an array
-    filled per window by the addition formulas: with S, C = sin(k*offsets),
-    cos(k*offsets) tabled once per sweep and a, b = sin(k*s + c),
-    cos(k*s + c) taken once per block of starts, the window at s reads
-    ``a*C + b*S`` for sin and ``b*C - a*S`` for cos.
+    The separable nodes func(k*t + c) of one k are filled per window by one
+    product ``coef @ [C; S]``: C, S = cos, sin of k*offsets are tabled once
+    per sweep, and a node's row of coef is ``(a, b)`` for sin and
+    ``(b, -a)`` for cos, a, b = sin, cos of k*s + c, taken once per block.
+    A window whose Gram matrix is not finite (every weight is positive, so
+    some value is not) or whose denominator check raised is evaluated again
+    by sampling, in window order, which raises sampling's error; if none,
+    its sampled Gram matrix is kept, or named by a ``SignalEvalError``.
     """
-    run, literals, angles = spec._sweep
+    make, literals, angles = spec._sweep
     offsets = h * np.arange(n + 1)
     weights = np.full(n + 1, h)
     weights[0] = weights[-1] = h / 2
-    one = np.ones(n + 1) if literals else None
+    run = make(np.ones(n + 1) if literals else None)
+    t = np.empty(n + 1)
     w = np.empty((spec.dimension, n + 1))
     weighted = np.empty_like(w)
-    values = [np.empty(n + 1) for _ in angles]
-    scratch = np.empty(n + 1)
-    phases = {(k, c) for _, k, c in angles}
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = {k: (np.sin(k * offsets), np.cos(k * offsets)) for k, _ in phases}
+    by_k = {}  # k -> (j, func, c) for each angle j of frequency k
+    for j, (func, k, c) in enumerate(angles):
+        by_k.setdefault(k, []).append((j, func, c))
+    values = {k: np.empty((len(nodes), n + 1)) for k, nodes in by_k.items()}
+    rows = {j: row for k, nodes in by_k.items() for (j, _, _), row in zip(nodes, values[k])}
+    with np.errstate(all="ignore"):
+        tables = {k: np.stack([np.cos(k * offsets), np.sin(k * offsets)]) for k in by_k}
     while (block := np.fromiter(itertools.islice(starts, _GRAM_BLOCK), float)).size:
         finite = np.isfinite(block)
         if not finite.all():
             raise ConfigurationError(f"window start must be finite, got {block[~finite][0]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            at_starts = {(k, c): (np.sin(k * block + c), np.cos(k * block + c))
-                         for k, c in phases}
         grams = np.empty((block.size, spec.dimension, spec.dimension))
-        for j, (gram, s) in enumerate(zip(grams, block)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                for value, (func, k, c) in zip(values, angles):
-                    (sin_s, cos_s), (S, C) = at_starts[k, c], tables[k]
-                    a, b = sin_s[j], cos_s[j]
-                    if func == "sin":
-                        np.multiply(C, a, out=value)
-                        value += np.multiply(S, b, out=scratch)
-                    else:
-                        np.multiply(C, b, out=value)
-                        value -= np.multiply(S, a, out=scratch)
-                run(s + offsets, one, w, values)
-            np.matmul(np.multiply(w, weights, out=weighted), w.T, out=gram)
-        yield block, 0.5 * (grams + grams.transpose(0, 2, 1))
+        with np.errstate(all="ignore"):
+            coefs = {}
+            for k, nodes in by_k.items():
+                coef = coefs[k] = np.empty((block.size, len(nodes), 2))
+                for r, (_, func, c) in enumerate(nodes):
+                    a, b = np.sin(k * block + c), np.cos(k * block + c)
+                    coef[:, r, 0], coef[:, r, 1] = (a, b) if func == "sin" else (b, -a)
+            for j, (gram, s) in enumerate(zip(grams, block)):
+                for k, table in tables.items():
+                    np.matmul(coefs[k][j], table, out=values[k])
+                try:
+                    run(np.add(offsets, s, out=t), w, rows)
+                except SignalEvalError:
+                    gram.fill(np.nan)  # evaluated again below
+                    continue
+                np.matmul(np.multiply(w, weights, out=weighted), w.T, out=gram)
+            grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+        for j in np.flatnonzero(~np.isfinite(grams).all(axis=(1, 2))):
+            spec._evaluate(np.add(offsets, block[j], out=t), w)
+            with np.errstate(all="ignore"):
+                gram = np.multiply(w, weights, out=weighted) @ w.T
+                grams[j] = 0.5 * (gram + gram.T)
+            if not np.isfinite(grams[j]).all():
+                raise SignalEvalError(f"Gram matrix not finite over the window at t={block[j]}")
+        yield block, grams
 
 
 def excitation_report(spec: RegressorSpec, t: float, T: float, dt: float) -> ExcitationReport:

@@ -246,6 +246,22 @@ class TestCheckPe:
         # example1's regressor: rho is pi over a full period from any start
         assert all(abs(float(rho) - 3.14159) < 1e-4 for _, rho in rows)
 
+    def test_gram_overflow_exits_2_naming_the_window(self, tmp_path, capsys):
+        # w stays finite, but 1e200 squared does not
+        doc = {"name": "huge", "problem": {"regressor": ["1e200", "sin(t)"],
+                                           "true_params": [1, 2]},
+               "estimators": [{"variant": "GE", "tau": 1.0}], "settings": {"t_end": 8.5}}
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-pe", "--scenario", str(cfg), "--window", "6.2832",
+                         "--step", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert captured.err.strip().endswith("Gram matrix not finite over the window at t=0.0")
+
     def test_unknown_scenario_exits_1(self, capsys):
         assert main(["check-pe", "--scenario", "nosuch", "--window", "6.2832"]) == 1
         assert "unknown scenario 'nosuch'" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paramest import signals
 from paramest.catalog import BUILTIN_NAMES, builtin, builtin_t_end
 from paramest.errors import (
     ConfigurationError,
@@ -14,6 +16,7 @@ from paramest.errors import (
     SignalParseError,
 )
 from paramest.signals import (
+    _nonzero,
     excitation_report,
     excitation_sweep,
     parse_expr,
@@ -138,6 +141,26 @@ class TestEval:
         spec = regressor_from_strings(["1/(t-1)"])
         with pytest.raises(SignalEvalError, match="denominator .* in 't-1'"):
             spec.evaluate(1.0)
+
+    @pytest.mark.parametrize("b", [
+        [-1.0, -2.0, -1e-299],  # all negative
+        [-1.0, -1e-301],  # all negative, one within the floor
+        [1.0, math.nan, 2.0],  # a nan entry passes
+        [math.nan, 0.0],  # and hides a zero, as the magnitude's minimum does
+        [1.0, 1e-301, 2.0],  # one entry within the floor among positives
+        [2.0, 0.0],
+        [1.0, -0.0],
+        [-1.0, 1.0],  # both signs, away from zero
+        [1e-300, 5e-324],  # subnormal
+        [],
+    ])
+    def test_nonzero_matches_the_magnitude_floor(self, b):
+        b = np.array(b)
+        if np.min(np.abs(b), initial=np.inf) < 1e-300:
+            with pytest.raises(SignalEvalError, match="denominator magnitude below 1e-300 in x"):
+                _nonzero(b, "x")
+        else:
+            assert _nonzero(b, "x") is b
 
     def test_evaluate_is_sample_at_one_point(self):
         spec, _, _, _ = builtin("example6")
@@ -400,6 +423,8 @@ class TestExcitation:
     @pytest.mark.parametrize("exprs", [
         ["1", "exp(-0.25*t)"],
         ["sin(t*t)", "cos(t/2)", "sin(2*t*1)", "pow(1 + t*t, 0.5) * cos(exp(-t))"],
+        # constant components and factors, computed once per sweep
+        ["2/3", "-0.5*1", "pow(2, 0.5)*exp(-0.25*t)/(1 + 2)"],
     ])
     def test_sweep_without_separable_nodes_is_the_plain_program(self, exprs):
         spec = regressor_from_strings(exprs)
@@ -409,6 +434,18 @@ class TestExcitation:
                 for s, eigenvalues in _trapezoid_rows(spec, starts, 2 * math.pi, 1e-2)]
         assert excitation_sweep(spec, starts, 2 * math.pi, 1e-2) == want
 
+    @staticmethod
+    def _assert_sweep_error_matches_sampling(exprs, start):
+        spec = regressor_from_strings(exprs)
+        assert spec._sweep[2]
+        with pytest.raises(SignalEvalError) as want:
+            spec.sample(start + 6.29 / 629 * np.arange(630))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(SignalEvalError) as got:
+                excitation_report(spec, start, 6.29, 0.01)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("text,start", [
         ("sin(t)*exp(800*t)", 0.0),  # exp overflows past t = 0.887
         ("1/sin(t)", 0.0),  # the first node's denominator is 0
@@ -416,13 +453,62 @@ class TestExcitation:
         ("cos(1e308*t + 1)", 1e10),  # the angle overflows at the start
     ])
     def test_separable_sweep_errors_match_sampling(self, text, start):
-        spec = regressor_from_strings(["1", text])
-        assert spec._sweep[2]
-        with pytest.raises(SignalEvalError) as want:
-            spec.sample(start + 6.29 / 629 * np.arange(630))
-        with pytest.raises(SignalEvalError) as got:
-            excitation_report(spec, start, 6.29, 0.01)
-        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        self._assert_sweep_error_matches_sampling(["1", text], start)
+
+    @pytest.mark.parametrize("exprs", [
+        # component 0 turns non-finite and component 1's denominator is 0:
+        # sampling names component 0, which the sweep checks only on its Gram
+        ["sin(t)*exp(800*t)", "1/sin(t)"],
+        # constants, computed once per sweep, beside a t-dependent component
+        ["sin(t)", "1/0"],
+        ["sin(t)", "pow(-1, 0.5)"],
+        ["2/(1-1) + sin(t)", "cos(t)"],
+    ])
+    def test_sweep_errors_match_sampling_across_components(self, exprs):
+        self._assert_sweep_error_matches_sampling(exprs, 0.0)
+
+    def test_constant_components_match_sampled_trapezoid(self):
+        spec = regressor_from_strings(["2/3", "-0.5*1", "sin(t)", "pow(2, 0.5)*cos(t)"])
+        starts = np.linspace(-3.0, 40.0, 30)
+        table = excitation_sweep(spec, starts, 2 * math.pi, 1e-2)
+        for (start, rho), (want_start, eigenvalues) in zip(
+                table, _trapezoid_rows(spec, starts, 2 * math.pi, 1e-2), strict=True):
+            assert start == want_start
+            assert abs(rho - eigenvalues[0]) <= 1e-12 * eigenvalues[-1]
+
+    def test_gram_overflow_from_finite_values_is_named(self):
+        spec = regressor_from_strings(["1e200", "sin(t)"])
+        assert np.isfinite(spec.sample(np.linspace(0.0, 6.29, 630))).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SignalEvalError,
+                               match=r"^Gram matrix not finite over the window at t=3\.5$"):
+                excitation_sweep(spec, [3.5, 4.0], 6.29, 0.01)
+
+    def test_window_whose_sweep_check_raises_keeps_its_sampled_gram(self, monkeypatch):
+        # a sweep program whose every denominator check raises, while the
+        # spec's sampling program, compiled first, checks as usual
+        spec = regressor_from_strings(["1", "1/(2 + sin(t))"])
+        raised = Counter()
+
+        def refuse(b, label):
+            raised[label] += 1
+            raise SignalEvalError(label)
+
+        monkeypatch.setattr(signals, "_nonzero", refuse)
+        starts = np.linspace(0.0, 10.0, 7)
+        assert excitation_sweep(spec, starts, 2 * math.pi, 1e-2) == [
+            (s, eigenvalues[0])
+            for s, eigenvalues in _trapezoid_rows(spec, starts, 2 * math.pi, 1e-2)]
+        assert raised == {"'2 + sin(t)'": starts.size}
+
+    def test_window_the_angle_tables_overflow_keeps_its_sampled_gram(self):
+        # 1e308*o overflows for offsets o past 1.8, while the sampled angles
+        # 1e308*(s + o) stay within [-1.5e308, 1.5e308]
+        spec = regressor_from_strings(["1", "sin(1e308*t)"])
+        starts = [-1.5, -1.4]
+        assert excitation_sweep(spec, starts, 3.0, 0.01) == [
+            (s, eigenvalues[0]) for s, eigenvalues in _trapezoid_rows(spec, starts, 3.0, 0.01)]
 
     def test_sweep_memory_does_not_grow_with_the_window_count(self):
         spec = regressor_from_strings(["1", "sin(t)", "cos(t)"])
