@@ -15,7 +15,9 @@ pr_wins (pairs in which this checkout is better; ties count for neither) and
 change (median over parent median, minus 1). FILE records the parent's
 commit: --parent-commit, else HEAD of PARENT_DIR when it is a git checkout,
 else the commit the parent's run reports (a ``git archive`` copy has none,
-so pass --parent-commit).
+so pass --parent-commit). The resolved paths of PARENT_DIR and of this
+checkout must be of equal length: a run's times move with the length of the
+path it runs from, so the script refuses unequal ones before any run.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR --workload W [--seed S]
            --pairs N --out FILE [--trace] [--parent-commit SHA]
@@ -148,6 +150,9 @@ def main(argv=None) -> int:
     key = f"{args.workload}/seed{args.seed}" + ("/traced" if args.trace else "")
     entry = doc.get("workloads", {}).get(key, {})
     checkouts = {"parent": args.parent_dir.resolve(), "pr": ROOT}
+    if len(str(checkouts["parent"])) != len(str(ROOT)):
+        sys.exit(f"error: the checkout paths {checkouts['parent']} and {ROOT} differ in "
+                 "length; run both from paths of equal length")
     new = {side: [] for side in SIDES}
     for pair in range(entry.get("pairs", 0) + 1, entry.get("pairs", 0) + args.pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:

@@ -166,7 +166,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, SignalEvalError) as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
+        prefix = "simulation diverged" if isinstance(exc, DivergenceError) else "signal error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

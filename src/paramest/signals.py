@@ -364,7 +364,7 @@ class RegressorSpec:
         """w at the times ts into out, shape (q, len(ts)), one component at a
         time: a component not finite at every time raises SignalEvalError
         before the next one is computed."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             self._make(np.ones_like(ts) if self._literals else None)(ts, out)
 
 

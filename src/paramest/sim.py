@@ -39,21 +39,23 @@ filter does not depend on the estimate: one scan for each distinct
 yields the same tables for one filter state). Every law is affine in the
 estimate, so for each config one vectorized call of its law at the q + 1
 points [e_1 ... e_q, theta_s] builds the affine stage table f of the law
-expanded at the estimate theta_s the chunk starts from (``_group_states``).
-The step tables ``[G, K, q + 1, q]`` of a group, the configs of one variant
-reading one table key, run through one ``affine_rk4`` scan, and each
-estimate is carried to the next chunk. ``simulate`` is that walk over one
-config. Expanding at theta_s, not at 0, keeps an estimate at rest exactly
-where the law puts it: y - theta_s is exactly 0 until the estimate moves,
-and the identity maps ``affine_rk4`` puts before the first step that moves
-it keep it at theta_s to the bit. Started at the truth, the unfiltered
+expanded at the estimate theta_s the chunk starts from. The running configs
+go in config order, ``SCAN_CONFIGS`` (8) at a time whatever their variants
+and table keys: each f becomes its config's row of the slice's step tables
+``[S, K, q + 1, q]`` at once, one ``affine_rk4`` scan runs the slice, and
+each estimate is carried to the next chunk. ``simulate`` is that walk over
+one config. Expanding at theta_s, not at 0, keeps an estimate at rest
+exactly where the law puts it: y - theta_s is exactly 0 until the estimate
+moves, and the identity maps ``affine_rk4`` puts before the first step that
+moves it keep it at theta_s to the bit. Started at the truth, the unfiltered
 estimates never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
 their speed-up was measured: f holds q^2 + q entries per stage and d as many
-per step for every variant (197 and 49 kB per chunk at q = 3; one f and one
-group's d are alive at a time), the law runs over q + 1 points per stage,
-and the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
+per step for every variant (197 and 49 kB per chunk and config at q = 3; one
+f and one slice's d are alive at a time, so a chunk's memory does not grow
+with the number of configs), the law runs over q + 1 points per stage, and
+the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
 q = 16 over t_end = 5 a GE run peaks at 9.5 MB (tracemalloc), and DREM takes
 1.8 s, most of it in the SVD adjugate of its one law call per chunk.
 
@@ -87,6 +89,8 @@ _STATE_NORM_LIMIT = 1e12
 # steps per chunk of the time axis: enough to vectorize the table and map
 # builds, few enough that a chunk's tables stay near 100 kB at q = 3
 CHUNK_STEPS = 512
+# running configs per scan, in config order: a chunk holds this many step tables
+SCAN_CONFIGS = 8
 # half-step grid offsets of the four RK4 stages of a step: t_k, t_k + dt/2 twice, t_k + dt
 _STAGE_HALF_STEPS = np.array([0, 1, 1, 2])
 
@@ -332,25 +336,6 @@ def _chunk_tables(w: np.ndarray, g: np.ndarray, state: FilterState | None, dt: f
     return omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q), state
 
 
-def _group_states(configs: list[EstimatorConfig], thetas: np.ndarray,
-                  a_points: np.ndarray, b_points: np.ndarray, dt: float) -> np.ndarray:
-    """The estimates ``[G, m + 1, q]`` of a group's configs over a chunk from
-    thetas ``[G, q]``, with its stage tables (a, b) as the law reads them at
-    q + 1 points: a at each, b zero except at point q.
-
-    Each config's law builds f ``[n, q + 1, q]``, ``law(y, a[i], b[i]) =
-    [y - theta_s, 1] @ f[i]``: every law is affine in the estimate, so row
-    j < q of f[i] is law(e_j, a[i], 0) and row q is law(theta_s, a[i], b[i]),
-    from one call at the points [e_1 ... e_q, theta_s]. f becomes its step
-    maps at once, and one ``affine_rk4`` scan runs the group's."""
-    q = thetas.shape[-1]
-    d = np.empty((len(configs), len(b_points) // 4, q + 1, q))
-    for j, c in enumerate(configs):
-        points = np.vstack([np.eye(q), thetas[j]])
-        d[j] = step_maps(LAWS[c.variant](points, a_points, b_points, c.tau, c.mu), dt)
-    return affine_rk4(thetas, d)
-
-
 def _check_bounded(ys: np.ndarray, config: EstimatorConfig, dt: float, start: int) -> None:
     """Raise DivergenceError at the first row of ys ``[m + 1, q]``, the
     estimates of ``config`` over the chunk from step ``start``, past the bound."""
@@ -374,13 +359,15 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
 
     Each chunk samples the regressor once, builds the (w, g) stage tables
     once, and runs the filter once for each distinct ``filter_init`` among
-    the filtered configs, carrying each filter state to the next chunk; every
-    config then integrates its estimate over the tables it reads. Each
-    trajectory is what ``simulate`` records for its config alone, to the bit:
-    its estimates are a view of one ``[len(configs), rows, q]`` array, and its
-    error norms, residuals and storage are computed from them when read.
+    the filtered configs, carrying each filter state to the next chunk; the
+    running configs then integrate their estimates over the tables they read,
+    ``SCAN_CONFIGS`` to a scan, in config order. Each trajectory is what
+    ``simulate`` records for its config alone, to the bit: its estimates are
+    a view of one ``[len(configs), rows, q]`` array, and its error norms,
+    residuals and storage are computed from them when read.
 
-    A config whose run fails leaves the walk, and so do the configs after it.
+    A config whose run fails leaves the walk, and so do the configs after it;
+    those before it in its scan are still scanned and recorded.
     When any fails, the error of the first failing config in config order is
     raised, as running ``simulate`` on each config in order would raise it,
     with that config's index in ``configs`` set as its ``config_index``; a
@@ -424,36 +411,47 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
                 break
             try:
                 w, g = _sampled(problem, settings, start, stop)
+                d = np.empty((min(len(runs), SCAN_CONFIGS), stop - start, q + 1, q))
             except Exception as exc:
                 fail(min(runs), exc)
                 break
             lo, hi = np.searchsorted(ks, [start, stop + 1])
-            groups = {}  # (variant, table key) -> its configs' indices, in order
-            for i, (key, _) in runs.items():
-                groups.setdefault((configs[i].variant, key), []).append(i)
             tables = {}  # table key -> its point tables of this chunk, built once
-            for (_, key), group in groups.items():
-                # a failure removes the configs after it from every group
-                if not (group := [i for i in group if i in runs]):
-                    continue
-                i = group[0]  # the config a failure of the shared tables names
+            running = list(runs)
+            for s in range(0, len(running), SCAN_CONFIGS):
+                part = running[s:s + SCAN_CONFIGS]
+                if part[0] not in runs:  # a failure removed the rest
+                    break
+                built = []  # the configs whose step maps fill the rows of d
                 try:
-                    if key not in tables:
-                        a, b, states[key] = _chunk_tables(w, g, states[key], dt)
-                        b_points = np.zeros((len(b), q + 1) + b.shape[1:])
-                        b_points[:, q] = b
-                        tables[key] = a[:, None], b_points
-                    ys = _group_states([configs[i] for i in group],
-                                       np.array([runs[i][1] for i in group]),
-                                       *tables[key], dt)
-                    for i, ys_i in zip(group, ys):
+                    for i in part:
+                        key, theta = runs[i]
+                        if key not in tables:
+                            a, b, states[key] = _chunk_tables(w, g, states[key], dt)
+                            b_points = np.zeros((len(b), q + 1) + b.shape[1:])
+                            b_points[:, q] = b
+                            tables[key] = a[:, None], b_points
+                        # the law at the points [e_1 ... e_q, theta] is the
+                        # affine stage table f of the law expanded at theta
+                        c = configs[i]
+                        d[len(built)] = step_maps(LAWS[c.variant](
+                            np.vstack([np.eye(q), theta]), *tables[key], c.tau, c.mu), dt)
+                        built.append(i)
+                except Exception as exc:
+                    fail(i, exc)
+                if not built:
+                    continue
+                try:
+                    i = built[0]
+                    ys = affine_rk4(np.array([runs[i][1] for i in built]), d[:len(built)])
+                    for i, ys_i in zip(built, ys):
                         _check_bounded(ys_i, configs[i], dt, start)
                         estimates[i, lo:hi] = ys_i[ks[lo:hi] - start]
-                        runs[i] = key, ys_i[-1].copy()
+                        runs[i] = runs[i][0], ys_i[-1].copy()
                 except Exception as exc:
                     fail(i, exc)
             # release this chunk's tables before the next chunk's are built
-            del w, g, tables
+            del w, g, d, tables
     if failed:
         (i, exc), = failed
         exc.config_index = i

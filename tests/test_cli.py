@@ -262,6 +262,17 @@ class TestCheckPe:
         assert "nan" not in captured.out
         assert captured.err.strip().endswith("Gram matrix not finite over the window at t=0.0")
 
+    def test_signal_error_has_its_own_prefix(self, tmp_path, capsys):
+        # check-pe simulates nothing, so its signal errors are not divergences
+        doc = {"name": "huge", "problem": {"regressor": ["1e200", "sin(t)"],
+                                           "true_params": [1, 2]},
+               "estimators": [{"variant": "GE", "tau": 1.0}], "settings": {"t_end": 8.5}}
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["check-pe", "--scenario", str(cfg), "--window", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "signal error: Gram matrix not finite over the window at t=0.0\n")
+
     def test_unknown_scenario_exits_1(self, capsys):
         assert main(["check-pe", "--scenario", "nosuch", "--window", "6.2832"]) == 1
         assert "unknown scenario 'nosuch'" in capsys.readouterr().err

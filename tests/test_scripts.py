@@ -81,25 +81,26 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
 
 
 def stub_checkouts(tmp_path, parent_commit):
-    """Parent and change checkouts under tmp_path whose bench/run.py is
-    STUB_RUN; the parent's run reports ``parent_commit`` as its commit."""
+    """Parent and change checkouts under tmp_path, at paths of equal length,
+    whose bench/run.py is STUB_RUN; the parent's run reports ``parent_commit``
+    as its commit."""
     # the parent's wall_s is 10 plus the number of runs before it: 10, 13, 14, 17
     sides = {"parent": dict(passes=2, tail="max of 6", commit=parent_commit, raw=11.0,
                             wall="10.0 + calls", work=5.0, rss=40.0),
-             "pr": dict(passes=3, tail="max of 9", commit="def", raw=9.0, wall=8.0, work=6.0,
+             "change": dict(passes=3, tail="max of 9", commit="def", raw=9.0, wall=8.0, work=6.0,
                         rss=41.0)}
     for side, values in sides.items():
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(STUB_RUN % values)
-    (tmp_path / "pr" / "scripts").mkdir()
-    shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "pr" / "scripts")
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "pr")
+    (tmp_path / "change" / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "change" / "scripts")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
 
 
-def run_bench_pairs(tmp_path, out, pairs, *args):
+def run_bench_pairs(tmp_path, out, pairs, *args, parent="parent"):
     return subprocess.run(
-        [sys.executable, str(tmp_path / "pr" / "scripts" / "bench_pairs.py"),
-         str(tmp_path / "parent"), "--workload", "reproduce", "--seed", "7",
+        [sys.executable, str(tmp_path / "change" / "scripts" / "bench_pairs.py"),
+         str(tmp_path / parent), "--workload", "reproduce", "--seed", "7",
          "--pairs", str(pairs), "--out", str(out), *args],
         capture_output=True, text=True, timeout=120)
 
@@ -115,10 +116,10 @@ def test_bench_pairs_alternates_and_merges(tmp_path):
     proc = run(3)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "order.log").read_text().split() == \
-        ["parent", "pr", "pr", "parent", "parent", "pr"]
+        ["parent", "change", "change", "parent", "parent", "change"]
     proc = run(1)  # pair 4: the change runs first, and the runs are appended
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "order.log").read_text().split()[-2:] == ["pr", "parent"]
+    assert (tmp_path / "order.log").read_text().split()[-2:] == ["change", "parent"]
 
     doc = json.loads(out.read_text())
     assert doc["change"] == "kept" and doc["parent_commit"] == "abc"
@@ -161,3 +162,12 @@ def test_bench_pairs_records_the_parent_commit_of_a_copy(tmp_path):
     proc = run_bench_pairs(tmp_path, tmp_path / "git.json", 1)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "git.json").read_text())["parent_commit"] == head
+
+
+def test_bench_pairs_refuses_checkouts_at_paths_of_unequal_length(tmp_path):
+    stub_checkouts(tmp_path, "abc")
+    shutil.copytree(tmp_path / "parent", tmp_path / "par")
+    proc = run_bench_pairs(tmp_path, tmp_path / "bench.json", 1, parent="par")
+    assert proc.returncode == 1
+    assert str(tmp_path / "par") in proc.stderr and str(tmp_path / "change") in proc.stderr
+    assert not (tmp_path / "order.log").exists() and not (tmp_path / "bench.json").exists()

@@ -137,6 +137,14 @@ class TestEval:
         with pytest.raises(SignalEvalError, match="component 1"):
             spec.evaluate(10.0)
 
+    def test_non_finite_power_raises_without_a_warning(self):
+        # 0 ** -1 divides by zero inside numpy; the named error is the one message
+        spec = regressor_from_strings(["1", "pow(t, -1)"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SignalEvalError, match="component 1 non-finite at t=0.0"):
+                spec.sample([0.0, 1.0])
+
     def test_divide_near_zero_raises(self):
         spec = regressor_from_strings(["1/(t-1)"])
         with pytest.raises(SignalEvalError, match="denominator .* in 't-1'"):

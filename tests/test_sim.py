@@ -13,6 +13,7 @@ from paramest.filters import FilterState, filter_rhs
 from paramest.signals import MAX_STEPS, RegressorSpec, regressor_from_strings
 from paramest.sim import (
     CHUNK_STEPS,
+    SCAN_CONFIGS,
     SimSettings,
     _scan,
     _step_loop,
@@ -264,9 +265,11 @@ class TestConfigAxis:
             assert not np.array_equal(ys[j], stepped[j])  # the two differ by rounding
 
     def test_config_at_rest_stays_there_in_a_group(self):
-        # the middle config's first 300 step offsets lie below half an ulp of
-        # its state, as in test_matches_the_per_step_update; it rests exactly
-        # until step 300 while its mates move from step 0
+        # three configs in one scan, as simulate_all scans a slice of its
+        # running configs: the middle config's first 300 step offsets lie
+        # below half an ulp of its state, as in
+        # test_matches_the_per_step_update; it rests exactly until step 300
+        # while its mates in the scan move from step 0
         n_steps, rest, dt = 512, 300, 1e-2
         rng = np.random.default_rng(5)
         tables = [stable_table(rng, 3, n_steps) for _ in range(3)]
@@ -282,7 +285,7 @@ class TestConfigAxis:
 
     def test_gain_sweep_matches_each_simulate_call(self):
         # 24 seeded configs cycling the five variants, two filter_init
-        # values: groups of up to five configs share a scan
+        # values: three slices of SCAN_CONFIGS configs, each one scan
         problem, _, _ = make_problem("example6")
         rng = np.random.default_rng(2026)
         variants = list(Variant)
@@ -299,8 +302,8 @@ class TestConfigAxis:
             assert joint.err_norms.tobytes() == alone.err_norms.tobytes()
 
     def test_earlier_config_raises_when_groups_diverge_in_one_chunk(self):
-        # the GE group [0, 2] runs before the MGE group [1]: both diverge at
-        # the first step, and config 1, the first in config order, raises
+        # configs 1 (MGE) and 2 (GE) of one slice both diverge at the first
+        # step, and config 1, the first in config order, raises
         problem = EstimationProblem(regressor_from_strings(["1", "cos(t)"]),
                                     np.array([1.0, 2.0]))
         configs = [EstimatorConfig(variant=Variant.GE, tau=1.0),
@@ -313,6 +316,54 @@ class TestConfigAxis:
             simulate_all(problem, configs, settings)
         assert str(joint.value) == str(alone.value)
         assert "variant MGE" in str(joint.value) and joint.value.config_index == 1
+
+    @pytest.mark.parametrize("kind", ["diverges", "law raises"])
+    @pytest.mark.parametrize("index", [0, SCAN_CONFIGS - 1, SCAN_CONFIGS, SCAN_CONFIGS + 1])
+    def test_first_failing_config_raises_across_slices(self, index, kind):
+        # 2 * SCAN_CONFIGS + 3 configs on a scalar problem, so the last slice
+        # is short. Config `index` fails at the first step: GE at tau = 1e9
+        # diverges, and MGE_MRE raises in its law at q = 1 (at the head of a
+        # slice no row of its scan is built). The two configs after it (MGE
+        # diverging, MGE_MRE) and the last config also fail at the first
+        # step, and must not win.
+        problem = EstimationProblem(regressor_from_strings(["1 + 0.5*sin(t)"]),
+                                    np.array([1.5]))
+        rng = np.random.default_rng(index)
+        variants = [Variant.GE, Variant.MGE, Variant.MRE, Variant.DREM]
+        configs = [EstimatorConfig(variant=variants[i % 4],
+                                   tau=float(rng.uniform(0.5, 5.0)), mu=0.5,
+                                   theta_hat_0=rng.normal(0.0, 2.0, 1),
+                                   filter_init=0.1 * (i % 3 == 0))
+                   for i in range(2 * SCAN_CONFIGS + 3)]
+        diverging = EstimatorConfig(variant=Variant.GE, tau=1e9)
+        raising = EstimatorConfig(variant=Variant.MGE_MRE, tau=1.0, mu=0.5)
+        first = diverging if kind == "diverges" else raising
+        configs[index], configs[index + 2], configs[-1] = first, raising, diverging
+        configs[index + 1] = EstimatorConfig(variant=Variant.MGE, tau=1e9, mu=0.5)
+        settings = SimSettings(t_end=(CHUNK_STEPS + 10) * 1e-3)
+        with pytest.raises(Exception) as alone:
+            simulate(problem, first, settings)
+        with pytest.raises(Exception) as joint:
+            simulate_all(problem, configs, settings)
+        assert type(joint.value) is type(alone.value)
+        assert str(joint.value) == str(alone.value)
+        assert joint.value.config_index == index
+
+    def test_configs_before_a_law_failure_are_scanned(self):
+        # config 1's law raises in the first chunk; config 0, before it in
+        # its slice, still runs that chunk and diverges only in the third
+        # (tau * dt = 2.8, just past RK4's stability limit), so its error
+        # wins with the time simulate gives it alone
+        problem = EstimationProblem(regressor_from_strings(["1"]), np.array([1.0]))
+        configs = [EstimatorConfig(variant=Variant.GE, tau=2800.0),
+                   EstimatorConfig(variant=Variant.MGE_MRE, tau=1.0, mu=0.5)]
+        settings = SimSettings(t_end=4 * CHUNK_STEPS * 1e-3)
+        with pytest.raises(DivergenceError) as alone:
+            simulate(problem, configs[0], settings)
+        with pytest.raises(DivergenceError) as joint:
+            simulate_all(problem, configs, settings)
+        assert str(joint.value) == str(alone.value) and joint.value.config_index == 0
+        assert float(str(alone.value).split("t=")[1].split(" ")[0]) > 2 * CHUNK_STEPS * 1e-3
 
 
 class TestSimulate:
