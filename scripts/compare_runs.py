@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Compare the 12 builtin runs of this checkout against another source tree.
+"""Compare the 12 builtin runs and a mixed line-up of 10 runs of this checkout
+against another source tree.
 
 Each side runs every estimator of every builtin scenario through
 ``harness.run_scenario`` in its own subprocess, with PYTHONPATH set to this
-checkout's src/ or to OTHER_SRC. For each run the script prints the largest
-absolute gap in t, theta_hat, error norm, manifold residual and storage, and
-for each scenario the largest gap in its excitation table
-(``ScenarioResult.excitation``: window start t and rho), then a summary line
-with the largest gap in each table. It exits 1 when any gap exceeds --atol
+checkout's src/ or to OTHER_SRC, and then the line-up ``mixed``: example6's
+problem and settings with the five variants at filter_init 0 and 0.1, each
+from its own initial estimate, so that one walk holds the unfiltered tables,
+two filter states and more configs than one scan. For each run the script
+prints the largest absolute gap in t, theta_hat, error norm, manifold
+residual and storage, and for each builtin the largest gap in its
+excitation table (``ScenarioResult.excitation``: window start t and rho),
+then a summary line with the largest gap in each table. It exits 1 when any gap exceeds --atol
 (default 0: bit-identical; NaN matches NaN) or when the two sides do not
 record the same runs, tables and shapes.
 
@@ -28,21 +32,42 @@ TABLES = {"run": ("t", "theta_hat", "err_norm", "residual", "storage"),
           "excitation": ("t", "rho")}
 
 
+def mixed(t_end):
+    """The line-up 'mixed': example6 with every variant at filter_init 0 and
+    0.1, each config from its own fixed initial estimate."""
+    from paramest import harness
+    from paramest.types import EstimatorConfig, Variant
+
+    base = harness.scenario_from_name("example6", t_end=t_end)
+    lineup = [(init, variant) for init in (0.0, 0.1) for variant in Variant]
+    estimators = [EstimatorConfig(variant=variant, tau=10.0, mu=0.95,
+                                  theta_hat_0=[0.5 * j, 1.0 - 0.25 * j, 2.0 + 0.1 * j],
+                                  filter_init=init, label=f"{variant.value}_{init:g}")
+                  for j, (init, variant) in enumerate(lineup)]
+    return harness.ScenarioConfig(name="mixed", problem=base.problem, estimators=estimators,
+                                  settings=base.settings)
+
+
 def dump(path: str, t_end) -> None:
-    """Run every builtin and save each trajectory field as 'run/<name>/<label>/<field>'
-    and each excitation column as 'excitation/<name>/<t or rho>'."""
+    """Run every builtin and the line-up 'mixed', and save each trajectory
+    field as 'run/<name>/<label>/<field>' and each builtin's excitation column
+    as 'excitation/<name>/<t or rho>'."""
     from paramest import harness
     from paramest.catalog import BUILTIN_NAMES
 
     arrays = {}
-    for name in BUILTIN_NAMES:
-        result = harness.run_scenario(harness.scenario_from_name(name, t_end=t_end))
+    configs = [harness.scenario_from_name(name, t_end=t_end) for name in BUILTIN_NAMES]
+    for config in configs + [mixed(t_end)]:
+        name = config.name
+        result = harness.run_scenario(config)
         for run in result.runs:
             traj = run.trajectory
             values = (traj.times, traj.estimates, traj.err_norms,
                       traj.manifold_residuals, traj.storage_values)
             for field, value in zip(TABLES["run"], values):
                 arrays[f"run/{name}/{run.label}/{field}"] = value
+        if name not in BUILTIN_NAMES:  # mixed: its regressor's table is example6's
+            continue
         columns = np.array(result.excitation, dtype=float).reshape(-1, 2).T
         for field, value in zip(TABLES["excitation"], columns):
             arrays[f"excitation/{name}/{field}"] = value

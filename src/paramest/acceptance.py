@@ -114,8 +114,8 @@ def _c2_ge_monotone():
     settings = SimSettings(t_end=30.0, dt=1e-3)
     cases = []
     for name in catalog.BUILTIN_NAMES:
-        spec, theta, tau, _ = catalog.builtin(name)
-        cases.append((name, EstimationProblem(spec, theta), tau))
+        config = scenario_from_name(name)
+        cases.append((name, config.problem, config.estimators[0].tau))
     for i in range(20):
         q = int(rng.integers(2, 4))
         spec = random_regressor(rng, q)
@@ -169,12 +169,12 @@ def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
 def _c4_duality():
     worst = 0.0
     for name in ("example1", "example2", "example3"):
-        spec, theta, tau, mu = catalog.builtin(name)
+        config = scenario_from_name(name)
+        problem, theta, first = config.problem, config.problem.true_params, config.estimators[0]
         settings = SimSettings(t_end=30.0, dt=1e-3)
-        problem = EstimationProblem(spec, theta)
-        traj = simulate(problem, EstimatorConfig(variant=Variant.MGE, tau=tau, mu=mu),
+        traj = simulate(problem, EstimatorConfig(variant=Variant.MGE, tau=first.tau, mu=first.mu),
                         settings)
-        err = _integrate_error_ode(spec, theta.copy(), tau, mu, settings)
+        err = _integrate_error_ode(problem.regressor, theta.copy(), first.tau, first.mu, settings)
         mismatch = float(np.max(np.abs(traj.estimates + err - theta[None, :])))
         worst = max(worst, mismatch)
         if mismatch > 1e-9:
@@ -183,15 +183,14 @@ def _c4_duality():
 
 
 def _filter_states(spec, settings):
-    """Omega after every step of the filter run from zero by ``stage_tables``,
-    the tables ``simulate_all`` integrates the filtered configs over, over
-    ``spec`` with g = 0."""
+    """Omega after every step of the filter run from zero over ``spec`` with
+    g = 0, read from the ``stage_tables`` walk that ``simulate_all`` runs."""
     q = spec.dimension
     problem = EstimationProblem(spec, np.zeros(q))
-    states = []
-    for _, _, omega_stages, _, end in stage_tables(problem, FilterState.uniform(q), settings):
-        states.append(omega_stages[::4])  # stage 0 of each step is its start state
-    return np.concatenate(states + [end.omega_ext[None]])
+    states = {"filter": FilterState.uniform(q)}
+    # the Omega points of stage 0 of each step: its start state
+    omegas = [tables["filter"][0][::4, 0] for tables in stage_tables(problem, states, settings)]
+    return np.concatenate(omegas + [states["filter"].omega_ext[None]])
 
 
 def _c5_filter():
@@ -208,7 +207,7 @@ def _c5_filter():
     settings = SimSettings(t_end=30.0, dt=dt)
     worst_asym, worst_eig = 0.0, 0.0
     for name in catalog.BUILTIN_NAMES:
-        om = _filter_states(catalog.builtin(name)[0], settings)
+        om = _filter_states(scenario_from_name(name).problem.regressor, settings)
         scale = np.maximum(1.0, np.max(np.abs(om), axis=(1, 2)))
         asym = np.max(np.abs(om - om.swapaxes(1, 2)), axis=(1, 2)) / scale
         worst_asym = max(worst_asym, float(np.max(asym)))
@@ -278,10 +277,10 @@ def _c9_example6():
 def _c10_drem_monotone():
     worst = 0.0
     for name in ("example3", "example6"):
-        spec, theta, tau, _ = catalog.builtin(name)
-        problem = EstimationProblem(spec, theta)
+        config = scenario_from_name(name)
+        problem, theta, tau = config.problem, config.problem.true_params, config.estimators[0].tau
         traj = simulate(problem, EstimatorConfig(variant=Variant.DREM, tau=tau),
-                        SimSettings(t_end=catalog.builtin_t_end(name)))
+                        SimSettings(t_end=config.settings.t_end))
         for i in range(problem.dimension):
             inc = _suffix_increase(np.abs(theta[i] - traj.estimates[:, i]))
             worst = max(worst, inc)
@@ -308,10 +307,11 @@ def _c11_rk4_order():
 
 
 def _c12_excitation():
-    rep = excitation_report(catalog.builtin("example1")[0], 0.0, 2.0 * math.pi, 1e-3)
+    w1, w5 = (scenario_from_name(name).problem.regressor for name in ("example1", "example5"))
+    rep = excitation_report(w1, 0.0, 2.0 * math.pi, 1e-3)
     target = np.array([[2.0 * math.pi, 0.0], [0.0, math.pi]])
     d = float(np.max(np.abs(rep.gram - target)))
-    rho5 = excitation_report(catalog.builtin("example5")[0], 100.0, 10.0, 1e-3).min_eigenvalue
+    rho5 = excitation_report(w5, 100.0, 10.0, 1e-3).min_eigenvalue
     ok = d < 1e-4 and rho5 < 1e-2
     return ok, (f"example1 gram within {d:.2e} of closed form (tol 1e-4); "
                 f"example5 window eigenvalue at t=100 is {rho5:.2e} (<1e-2)")
@@ -354,10 +354,10 @@ def _c14_equilibria():
     # truth plus zero-initialized filter is a fixed point of every variant
     worst = 0.0
     for name in ("example1", "example3"):
-        spec, theta, tau, mu = catalog.builtin(name)
-        problem = EstimationProblem(spec, theta)
+        config = scenario_from_name(name)
+        problem, theta, first = config.problem, config.problem.true_params, config.estimators[0]
         for variant in Variant:
-            cfg = EstimatorConfig(variant=variant, tau=tau, mu=mu,
+            cfg = EstimatorConfig(variant=variant, tau=first.tau, mu=first.mu,
                                   theta_hat_0=theta.copy())
             traj = simulate(problem, cfg, SimSettings(t_end=5.0))
             peak = float(np.max(traj.err_norms))

@@ -6,9 +6,9 @@ reference runs. Each builtin is one scenario file shipped as package data in
 ``scenarios/<name>.json``, with the schema of ``harness.load_scenario`` plus
 a one-line ``note``; ``document`` returns the parsed file and
 ``harness.scenario_from_name`` reads it into a full scenario configuration.
-The accessors below read the same document: ``builtin`` returns the raw
+The accessors below are fields of that configuration: ``builtin`` returns the
 (regressor, theta, tau, mu) tuple, with tau and mu from the first estimator
-entry (all entries of a builtin share them).
+(all estimators of a builtin share them).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ScenarioNotFoundError
-from .signals import RegressorSpec, regressor_from_strings
+from .signals import RegressorSpec
 from .types import EstimationProblem, EstimatorConfig
 
 _SCENARIOS = resources.files(__package__).joinpath("scenarios")
@@ -36,28 +36,30 @@ def document(name: str) -> dict:
     return json.loads(_SCENARIOS.joinpath(f"{name}.json").read_text())
 
 
+def _scenario(name: str):
+    # harness imports this module, so its reader is imported on use
+    from .harness import scenario_from_name
+    return scenario_from_name(name)
+
+
 def builtin(name: str) -> tuple[RegressorSpec, np.ndarray, float, float]:
     """Regressor, true parameters, and default (tau, mu) for a builtin name."""
-    doc = document(name)
-    spec = regressor_from_strings(doc["problem"]["regressor"])
-    # builtin expressions are validated up front: finite on a broad time grid
-    spec.sample(np.linspace(0.0, 200.0, 501))
-    first = doc["estimators"][0]
-    return spec, np.array(doc["problem"]["true_params"], dtype=float), first["tau"], first["mu"]
+    config = _scenario(name)
+    first = config.estimators[0]
+    return config.problem.regressor, config.problem.true_params, first.tau, first.mu
 
 
 def builtin_problem(name: str) -> EstimationProblem:
-    spec, theta, _, _ = builtin(name)
-    return EstimationProblem(regressor=spec, true_params=theta)
+    return _scenario(name).problem
 
 
 def builtin_estimators(name: str) -> list[EstimatorConfig]:
     """Default estimator line-up for a builtin scenario (reference gains)."""
-    return [EstimatorConfig(**entry) for entry in document(name)["estimators"]]
+    return _scenario(name).estimators
 
 
 def builtin_t_end(name: str) -> float:
-    return document(name)["settings"]["t_end"]
+    return _scenario(name).settings.t_end
 
 
 def describe(name: str) -> str:

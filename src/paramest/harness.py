@@ -104,7 +104,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     runs = []
     for est, traj in zip(config.estimators, trajectories):
         cts = {tol: convergence_time(traj, tol) for tol in CONVERGENCE_TOLERANCES}
-        violations = count_storage_violations(traj) if est.variant.uses_manifold_gain else None
+        has_manifold = est.variant.uses_manifold_gain and traj.dimension > 1
+        violations = count_storage_violations(traj) if has_manifold else None
         runs.append(EstimatorRun(
             label=est.resolved_label, config=est, trajectory=traj,
             convergence_times=cts, storage_violations=violations,

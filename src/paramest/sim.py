@@ -29,26 +29,26 @@ reference the tests pin it to.
 ``simulate_all`` walks the time axis in chunks of ``CHUNK_STEPS`` (512)
 steps, once per scenario, for all of its estimator configs at once, so its
 memory is bounded by a chunk and the recorded rows, not by the horizon; the
-step maps need no long chunks to amortize their build. Per chunk it samples
-the regressor once on the half-step grid and builds the stage tables (a, b)
-the laws of ``estimators.LAWS`` read: (w, g) at each stage time for GE/MGE,
-built once, and for the filtered variants the (Omega, G) stage values that
-``filters.filter_scan`` computes for the whole chunk at once, since the
-filter does not depend on the estimate: one scan for each distinct
-``filter_init``, its state carried from chunk to chunk (``stage_tables``
-yields the same tables for one filter state). Every law is affine in the
-estimate, so for each config one vectorized call of its law at the q + 1
-points [e_1 ... e_q, theta_s] builds the affine stage table f of the law
-expanded at the estimate theta_s the chunk starts from. The running configs
-go in config order, ``SCAN_CONFIGS`` (8) at a time whatever their variants
-and table keys: each f becomes its config's row of the slice's step tables
-``[S, K, q + 1, q]`` at once, one ``affine_rk4`` scan runs the slice, and
-each estimate is carried to the next chunk. ``simulate`` is that walk over
-one config. Expanding at theta_s, not at 0, keeps an estimate at rest
-exactly where the law puts it: y - theta_s is exactly 0 until the estimate
-moves, and the identity maps ``affine_rk4`` puts before the first step that
-moves it keep it at theta_s to the bit. Started at the truth, the unfiltered
-estimates never move.
+step maps need no long chunks to amortize their build. The walk is
+``stage_tables``: per chunk it samples the regressor once on the half-step
+grid and builds, once per table key, the stage tables (a, b) the laws of
+``estimators.LAWS`` read: (w, g) at each stage time for GE/MGE, and for the
+filtered variants the (Omega, G) stage values that ``filters.filter_scan``
+computes for the whole chunk at once, since the filter does not depend on
+the estimate: one scan for each distinct ``filter_init``, its state carried
+from chunk to chunk. Every law is affine in the estimate, so for each config
+one vectorized call of its law at the q + 1 points [e_1 ... e_q, theta_s]
+builds the affine stage table f of the law expanded at the estimate theta_s
+the chunk starts from. The running configs go in config order,
+``SCAN_CONFIGS`` (8) at a time whatever their variants and table keys: each
+f becomes its config's row of the slice's step tables ``[S, K, q + 1, q]``
+at once, one ``affine_rk4`` scan runs the slice, and each estimate is
+carried to the next chunk. ``simulate`` is that walk over one config.
+Expanding at theta_s, not at 0, keeps an estimate at rest exactly where the
+law puts it: y - theta_s is exactly 0 until the estimate moves, and the
+identity maps ``affine_rk4`` puts before the first step that moves it keep
+it at theta_s to the bit. Started at the truth, the unfiltered estimates
+never move.
 
 The affine tables are sized for small q, as in the builtins (q <= 3), where
 their speed-up was measured: f holds q^2 + q entries per stage and d as many
@@ -61,13 +61,14 @@ q = 16 over t_end = 5 a GE run peaks at 9.5 MB (tracemalloc), and DREM takes
 
 Divergence is detected after every step, checked once per chunk on the
 states ``affine_rk4`` returns: the first step with a non-finite estimate entry
-or an estimate norm above 1e12 aborts that config's run with its time and
-component, and the walk goes on with the configs listed before it.
+or an estimate norm above 1e12 times the largest of 1, |theta| and the
+config's |theta_hat_0| aborts that config's run with its time and component,
+and the walk goes on with the configs listed before it.
 The tables and the engine run with numpy's overflow and invalid-value
 warnings silenced, so a diverging run reports only that step.
-The recorded estimates of all configs go into one ``[configs, rows, q]``
-array. A recorded trajectory keeps a view of its rows only, and computes its
-error norms and manifold diagnostics from them each time they are read.
+Each config records its estimates into a ``[rows, q]`` array of its own, and
+its trajectory computes the error norms and manifold diagnostics from them
+each time they are read.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ from .errors import ConfigurationError, DivergenceError
 from .estimators import LAWS, manifold_residual, storage
 # bench/tracing.py counts calls to these law helpers by wrapping them here
 from .estimators import adjugate, det, mge_gain  # noqa: F401
-from .filters import FilterState, filter_scan
+from .filters import filter_scan
 from .signals import MAX_STEPS
 from .types import EstimationProblem, EstimatorConfig, Trajectory
 
@@ -303,42 +304,39 @@ def _scan(d: np.ndarray) -> np.ndarray:
     return rows.reshape(c, -1, q + 1)[:, :k, :q]
 
 
-def _sampled(problem: EstimationProblem, settings: SimSettings, start: int, stop: int):
-    """The regressor w and the output g = w^T theta on the half-step grid of
-    steps start..stop."""
-    w = problem.regressor.sample(settings.half_step_times(start, stop))
-    return w, w @ problem.true_params
-
-
-def stage_tables(problem: EstimationProblem, state: FilterState | None,
-                 settings: SimSettings):
-    """Yield (start, stop, a, b, filter state after the chunk) for each chunk
-    of ``settings.chunks``, with (a[4j+s], b[4j+s]) the law's inputs at stage
-    s of step start+j: the filter run from ``state`` by ``filters.filter_scan``
-    (a ``[4m, q, q]``, b ``[4m, q]``), or (w, g) when ``state`` is None. These
-    are the tables ``simulate_all`` builds, chunk by chunk, for the configs
-    that start from ``state``."""
+def stage_tables(problem: EstimationProblem, states: dict, settings: SimSettings):
+    """Yield, for each chunk of ``settings.chunks``, the point tables the laws
+    of ``estimators.LAWS`` read, by table key: for each key of ``states``,
+    ``(a[:, None], b_points)``, with (a[4j+s], b[4j+s]) the law's inputs at
+    stage s of step start+j and b_points b at the last of the q + 1 points,
+    0 at the others. A key whose state is None reads (w, g); a filter state
+    reads the filter run from it by ``filters.filter_scan`` (a ``[4m, q, q]``,
+    b ``[4m, q]``) and is replaced by the state after the chunk. A key deleted
+    from ``states`` between chunks is no longer built."""
+    q = problem.dimension
     for start, stop in settings.chunks:
-        w, g = _sampled(problem, settings, start, stop)
-        a, b, state = _chunk_tables(w, g, state, settings.dt)
-        yield start, stop, a, b, state
-        del w, g, a, b  # released before the next chunk's are built
-
-
-def _chunk_tables(w: np.ndarray, g: np.ndarray, state: FilterState | None, dt: float):
-    """(a, b, filter state after the chunk) over one chunk's half-step samples
-    (w, g), as ``stage_tables`` yields them."""
-    if state is None:
-        index = stage_index((len(w) - 1) // 2)
-        return w[index], g[index], None
-    q = w.shape[-1]
-    omega_ext, g_ext, state = filter_scan(state, w, g, dt)
-    return omega_ext.reshape(-1, q, q), g_ext.reshape(-1, q), state
+        w = problem.regressor.sample(settings.half_step_times(start, stop))
+        g = w @ problem.true_params
+        index = stage_index(stop - start)
+        tables = {}
+        for key, state in states.items():
+            if state is None:
+                a, b = w[index], g[index]
+            else:
+                a, b, states[key] = filter_scan(state, w, g, settings.dt)
+                a, b = a.reshape(-1, q, q), b.reshape(-1, q)
+            b_points = np.zeros((len(b), q + 1) + b.shape[1:])
+            b_points[:, q] = b
+            tables[key] = a[:, None], b_points
+            del a, b, b_points  # only tables holds them now
+        yield tables
+        del w, g, tables  # released before the next chunk's are built
 
 
 def _check_bounded(ys: np.ndarray, config: EstimatorConfig, dt: float, start: int) -> None:
     """Raise DivergenceError at the first row of ys ``[m + 1, q]``, the
-    estimates of ``config`` over the chunk from step ``start``, past the bound."""
+    estimates of ``config`` over the chunk from step ``start`` divided by the
+    scale of its bound (a division by 1 is exact), past the bound."""
     # the squared norm of a row holding inf or nan is inf or nan, so it
     # fails the bound as well
     bounded = np.einsum("ij,ij->i", ys, ys) <= _STATE_NORM_LIMIT ** 2
@@ -357,21 +355,20 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
     """Integrate every config against one problem in one walk over the
     chunks, and record one trajectory per config, in config order.
 
-    Each chunk samples the regressor once, builds the (w, g) stage tables
-    once, and runs the filter once for each distinct ``filter_init`` among
-    the filtered configs, carrying each filter state to the next chunk; the
-    running configs then integrate their estimates over the tables they read,
-    ``SCAN_CONFIGS`` to a scan, in config order. Each trajectory is what
-    ``simulate`` records for its config alone, to the bit: its estimates are
-    a view of one ``[len(configs), rows, q]`` array, and its error norms,
-    residuals and storage are computed from them when read.
+    The tables come from one ``stage_tables`` walk, keyed by None for (w, g)
+    and by each distinct ``filter_init`` among the filtered configs; a key
+    leaves the walk with the last config that reads it. The running configs
+    integrate their estimates over the tables they read, ``SCAN_CONFIGS`` to
+    a scan, in config order. Each trajectory is what ``simulate`` records for
+    its config alone, to the bit, in an estimates array of its own.
 
     A config whose run fails leaves the walk, and so do the configs after it;
-    those before it in its scan are still scanned and recorded.
-    When any fails, the error of the first failing config in config order is
-    raised, as running ``simulate`` on each config in order would raise it,
-    with that config's index in ``configs`` set as its ``config_index``; a
-    regressor that fails at a chunk fails every config still running.
+    those before it in its scan are still scanned and recorded. When any
+    fails, the error of the first failing config in config order is raised,
+    as running ``simulate`` on each config in order would raise it, with that
+    config's index in ``configs`` set as its ``config_index``. A regressor
+    that fails at a chunk, or tables that cannot be built (a MemoryError),
+    fail every config still running, and raise for the first.
     """
     if not configs:
         return []
@@ -379,6 +376,7 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
     dt = settings.dt
     ks = np.array(settings.record_steps)
     runs = {}  # config index -> (table key, estimate the next chunk starts from)
+    scales = {}  # config index -> its estimates' divisor in the bound check, >= 1
     states = {}  # table key -> filter state the next chunk starts from
     failed = []  # (config index, error) of the first failing config
 
@@ -386,6 +384,9 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
         failed[:] = [(i, exc)]
         for j in [j for j in runs if j >= i]:
             del runs[j]
+        # the walk builds no more tables for the keys no running config reads
+        for key in states.keys() - {key for key, _ in runs.values()}:
+            del states[key]
 
     for i, config in enumerate(configs):
         try:
@@ -397,11 +398,12 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
         key = None if state0.filter is None else float(config.filter_init).hex()
         states.setdefault(key, state0.filter)
         runs[i] = key, state0.theta_hat
-    if runs:
-        try:
-            estimates = np.empty((len(configs), len(ks), q))
-        except Exception as exc:
-            fail(min(runs), exc)
+        scales[i] = max(1.0, math.hypot(*problem.true_params), math.hypot(*state0.theta_hat))
+    try:
+        estimates = {i: np.empty((len(ks), q)) for i in runs}
+    except Exception as exc:
+        fail(min(runs), exc)
+    walk = stage_tables(problem, states, settings)
     # the tables of a diverging chunk overflow from the step it diverges at
     # on; every non-finite entry reaches the state it feeds, so the bound
     # check names that step, and no warning leaks
@@ -410,13 +412,12 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
             if not runs:
                 break
             try:
-                w, g = _sampled(problem, settings, start, stop)
+                tables = next(walk)
                 d = np.empty((min(len(runs), SCAN_CONFIGS), stop - start, q + 1, q))
             except Exception as exc:
                 fail(min(runs), exc)
                 break
             lo, hi = np.searchsorted(ks, [start, stop + 1])
-            tables = {}  # table key -> its point tables of this chunk, built once
             running = list(runs)
             for s in range(0, len(running), SCAN_CONFIGS):
                 part = running[s:s + SCAN_CONFIGS]
@@ -426,11 +427,6 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
                 try:
                     for i in part:
                         key, theta = runs[i]
-                        if key not in tables:
-                            a, b, states[key] = _chunk_tables(w, g, states[key], dt)
-                            b_points = np.zeros((len(b), q + 1) + b.shape[1:])
-                            b_points[:, q] = b
-                            tables[key] = a[:, None], b_points
                         # the law at the points [e_1 ... e_q, theta] is the
                         # affine stage table f of the law expanded at theta
                         c = configs[i]
@@ -445,13 +441,13 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
                     i = built[0]
                     ys = affine_rk4(np.array([runs[i][1] for i in built]), d[:len(built)])
                     for i, ys_i in zip(built, ys):
-                        _check_bounded(ys_i, configs[i], dt, start)
-                        estimates[i, lo:hi] = ys_i[ks[lo:hi] - start]
+                        _check_bounded(ys_i / scales[i], configs[i], dt, start)
+                        estimates[i][lo:hi] = ys_i[ks[lo:hi] - start]
                         runs[i] = runs[i][0], ys_i[-1].copy()
                 except Exception as exc:
                     fail(i, exc)
             # release this chunk's tables before the next chunk's are built
-            del w, g, d, tables
+            del d, tables
     if failed:
         (i, exc), = failed
         exc.config_index = i

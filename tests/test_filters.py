@@ -121,11 +121,13 @@ class TestScan:
             y = rk4_step(rhs, k * dt, y, dt)
         ref_stages = np.array(stages).reshape(n_steps, 4, q * q + q)
 
-        chunks = list(stage_tables(EstimationProblem(spec, theta), FilterState.uniform(q, init),
-                                   SimSettings(t_end=n_steps * dt, dt=dt)))
-        omega_ext = np.concatenate([c[2] for c in chunks]).reshape(n_steps, 4, q * q)
-        g_ext = np.concatenate([c[3] for c in chunks]).reshape(n_steps, 4, q)
-        end = chunks[-1][4]
+        states = {"filter": FilterState.uniform(q, init)}
+        chunks = [tables["filter"] for tables in stage_tables(
+            EstimationProblem(spec, theta), states, SimSettings(t_end=n_steps * dt, dt=dt))]
+        # the walk's point tables hold the stages in a, and b at the last point
+        omega_ext = np.concatenate([a[:, 0] for a, _ in chunks]).reshape(n_steps, 4, q * q)
+        g_ext = np.concatenate([b[:, q] for _, b in chunks]).reshape(n_steps, 4, q)
+        end = states["filter"]
         got = np.concatenate([omega_ext, g_ext], axis=-1)
         got_end = np.concatenate([end.omega_ext.ravel(), end.g_ext])
         for ours, ref in ((got, ref_stages), (got_end, y)):

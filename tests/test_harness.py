@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import paramest
-from paramest import sim
+from paramest import catalog, sim
 from paramest.catalog import BUILTIN_NAMES, builtin_problem
 from paramest.errors import ConfigurationError, SignalEvalError
 from paramest.harness import (
@@ -100,6 +100,12 @@ class TestRunScenario:
         assert by_label["GE"].storage_violations is None
         assert by_label["DREM"].storage_violations is None
         assert isinstance(by_label["MGE_MRE"].storage_violations, int)
+        # one component: the storage column is all nan, so there is no count
+        scalar = ScenarioConfig(
+            name="scalar", settings=SimSettings(t_end=1.0),
+            problem=EstimationProblem(regressor_from_strings(["sin(t)"]), np.array([2.0])),
+            estimators=[EstimatorConfig(variant=Variant.MGE, tau=1.0, mu=0.5)])
+        assert run_scenario(scalar).runs[0].storage_violations is None
 
     def test_excitation_summary_attached(self, example1_result):
         assert len(example1_result.excitation) >= 1
@@ -128,13 +134,13 @@ class TestRunScenario:
     @pytest.mark.parametrize("first,second", [
         ("late", "early"), ("early", "late"), ("late", "bad_theta"), ("bad_theta", "late")])
     def test_error_names_the_first_listed_failing_estimator(self, first, second):
-        # "late" diverges in the third chunk, "early" in the first and
-        # "bad_theta" before any step; run one after another, the first listed
-        # failing estimator raises, whichever fails first in time
+        # "late" diverges in the third chunk (t = 1.222), "early" in the first
+        # and "bad_theta" before any step; run one after another, the first
+        # listed failing estimator raises, whichever fails first in time
         problem = EstimationProblem(regressor_from_strings(["1", "cos(t)"]),
                                     np.array([1.0, 2.0]))
         failing = {
-            "late": EstimatorConfig(variant=Variant.MGE, tau=1.0, mu=30.0, label="late"),
+            "late": EstimatorConfig(variant=Variant.MGE, tau=1.0, mu=32.0, label="late"),
             "early": EstimatorConfig(variant=Variant.GE, tau=1e9, label="early"),
             "bad_theta": EstimatorConfig(variant=Variant.GE, tau=1.0,
                                          theta_hat_0=np.zeros(3), label="bad_theta"),
@@ -397,6 +403,22 @@ class TestConfigFiles:
             config = load_scenario(str(path))
             assert config.name == path.stem
             assert config.estimators
+            # finite on a broad time grid (sampling raises on a non-finite value)
+            assert np.isfinite(config.problem.regressor.sample(np.linspace(0.0, 200.0, 501))).all()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_catalog_accessors_are_fields_of_the_reader(self, name):
+        config = scenario_from_name(name)
+        spec, theta, tau, mu = catalog.builtin(name)
+        problem = catalog.builtin_problem(name)
+        for got in (spec, problem.regressor):
+            assert list(map(str, got.components)) == \
+                list(map(str, config.problem.regressor.components))
+        for got in (theta, problem.true_params):
+            assert np.array_equal(got, config.problem.true_params)
+        assert (tau, mu) == (config.estimators[0].tau, config.estimators[0].mu)
+        assert catalog.builtin_estimators(name) == config.estimators
+        assert catalog.builtin_t_end(name) == config.settings.t_end
 
     def test_package_data_ships_every_scenario_file(self):
         tomllib = pytest.importorskip("tomllib")

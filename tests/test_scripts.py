@@ -32,7 +32,7 @@ def test_run_all_scenarios_writes_csv_and_svg(tmp_path):
 def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     proc = run_script("compare_runs.py", ROOT / "src", "--t-end", "0.2")
     assert proc.returncode == 0, proc.stderr
-    assert ("12 runs, 6 excitation tables, largest run gap 0, largest excitation gap 0, "
+    assert ("22 runs, 6 excitation tables, largest run gap 0, largest excitation gap 0, "
             "largest allowed gap 0: ok") in proc.stdout
 
     # a copy whose example1 gain differs shows a gap on that run alone
@@ -46,12 +46,12 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["run", "t", "theta_hat", "err_norm", "residual", "storage"]
-    assert lines[13].split() == ["excitation", "t", "rho"]
-    runs = {line.split()[0]: line.split()[1:] for line in lines[1:13]}
-    assert len(runs) == 12
+    assert lines[23].split() == ["excitation", "t", "rho"]
+    runs = {line.split()[0]: line.split()[1:] for line in lines[1:23]}
+    assert len(runs) == 22 and sum(name.startswith("mixed/") for name in runs) == 10
     assert [name for name, gaps in runs.items() if float(gaps[1]) > 0] == ["example1/MGE"]
     # the gain does not touch the regressor: every excitation table matches
-    tables = {line.split()[0]: line.split()[1:] for line in lines[14:-1]}
+    tables = {line.split()[0]: line.split()[1:] for line in lines[24:-1]}
     assert sorted(tables) == [f"example{i}" for i in range(1, 7)]
     assert all(float(gap) == 0 for gaps in tables.values() for gap in gaps)
     summary = lines[-1].split(", ")

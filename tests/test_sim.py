@@ -296,10 +296,16 @@ class TestConfigAxis:
                                    filter_init=0.1 * (i % 3 == 0))
                    for i in range(24)]
         settings = SimSettings(t_end=(2 * CHUNK_STEPS + 76) * 1e-3, record_every=3)
-        for config, joint in zip(configs, simulate_all(problem, configs, settings)):
+        trajectories = simulate_all(problem, configs, settings)
+        for config, joint in zip(configs, trajectories):
             alone = simulate(problem, config, settings)
             assert joint.estimates.tobytes() == alone.estimates.tobytes()
             assert joint.err_norms.tobytes() == alone.err_norms.tobytes()
+        # each run owns its rows: keeping one keeps no other run's estimates
+        for i, a in enumerate(trajectories):
+            assert a.estimates.flags.owndata
+            assert not any(np.shares_memory(a.estimates, b.estimates)
+                           for b in trajectories[i + 1:])
 
     def test_earlier_config_raises_when_groups_diverge_in_one_chunk(self):
         # configs 1 (MGE) and 2 (GE) of one slice both diverge at the first
@@ -460,6 +466,18 @@ class TestSimulate:
             with pytest.raises(DivergenceError,
                                match=r"by t=0\.001 \(component 0, variant GE, dt=0\.001\)"):
                 simulate(problem, cfg, settings)
+
+    @pytest.mark.parametrize("theta,theta_hat_0", [([1e13, 2.0], None),
+                                                   ([-2.0, 2.0], [1e13, 0.0])],
+                             ids=["large-theta", "large-start"])
+    def test_bound_scales_with_the_parameter_norms(self, theta, theta_hat_0):
+        # a converging GE run whose estimates are of norm 1e13 does not
+        # diverge: the bound is 1e12 times the largest of 1, |theta| and
+        # |theta_hat_0|
+        problem = EstimationProblem(regressor_from_strings(["1", "sin(t)"]), np.array(theta))
+        cfg = EstimatorConfig(variant=Variant.GE, tau=1.0, theta_hat_0=theta_hat_0)
+        traj = simulate(problem, cfg, SimSettings(t_end=20.0))
+        assert traj.err_norms[-1] < 0.01 * traj.err_norms[0]
 
     def test_scalar_problem_has_nan_manifold_diagnostics(self):
         problem = EstimationProblem(regressor_from_strings(["sin(t)"]), np.array([1.0]))
