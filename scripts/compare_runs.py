@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the 12 builtin runs and a mixed line-up of 10 runs of this checkout
-against another source tree.
+"""Compare the 12 builtin runs, a mixed line-up of 10 runs and 6 failing
+line-ups of this checkout against another source tree.
 
 Each side runs every estimator of every builtin scenario through
 ``harness.run_scenario`` in its own subprocess, with PYTHONPATH set to this
@@ -10,10 +10,15 @@ from its own initial estimate, so that one walk holds the unfiltered tables,
 two filter states and more configs than one scan. For each run the script
 prints the largest absolute gap in t, theta_hat, error norm, manifold
 residual and storage, and for each builtin the largest gap in its
-excitation table (``ScenarioResult.excitation``: window start t and rho),
-then a summary line with the largest gap in each table. It exits 1 when any gap exceeds --atol
-(default 0: bit-identical; NaN matches NaN) or when the two sides do not
-record the same runs, tables and shapes.
+excitation table (``ScenarioResult.excitation``: window start t and rho).
+Each side then runs the failing line-ups (``failing``) through
+``sim.simulate_all``, at fixed horizons, and the script prints each one's
+error type and ``config_index`` on this side and whether the two sides raise
+the same type, message and index (the messages of both sides follow a line
+that differs). A summary line closes with the largest gap in each table and
+the number of differing errors. It exits 1 when any gap exceeds --atol
+(default 0: bit-identical; NaN matches NaN), when any error differs, or when
+the two sides do not record the same runs, tables and shapes.
 
 Usage: python scripts/compare_runs.py OTHER_SRC [--atol A] [--t-end T]
 """
@@ -48,12 +53,50 @@ def mixed(t_end):
                                   settings=base.settings)
 
 
+def failing():
+    """The failing line-ups, by name: (problem, configs, settings), at fixed
+    horizons. On ["1", "cos(t)"] a converging MRE goes first, then two of
+    'late' (MGE, diverges at t = 1.222, in the third chunk), 'early' (GE,
+    diverges at the first step) and 'bad_theta' (a theta_hat_0 of the wrong
+    length), in four orders; in 'regressor' a regressor component turns nan
+    at t = 1.3, in the third chunk; 'law' puts an MGE_MRE, whose law raises
+    at q = 1, at index SCAN_CONFIGS, the head of the second scan."""
+    from paramest.signals import regressor_from_strings
+    from paramest.sim import SCAN_CONFIGS, SimSettings
+    from paramest.types import EstimationProblem, EstimatorConfig, Variant
+
+    def problem(regressor, theta):
+        return EstimationProblem(regressor_from_strings(regressor), np.array(theta, dtype=float))
+
+    two = problem(["1", "cos(t)"], [1, 2])
+    ok = EstimatorConfig(variant=Variant.MRE, tau=1.0)
+    ends = {"late": EstimatorConfig(variant=Variant.MGE, tau=1.0, mu=32.0),
+            "early": EstimatorConfig(variant=Variant.GE, tau=1e9),
+            "bad_theta": EstimatorConfig(variant=Variant.GE, tau=1.0, theta_hat_0=np.zeros(3))}
+    horizon = SimSettings(t_end=2.0)
+    lineups = {f"{a}-{b}": (two, [ok, ends[a], ends[b]], horizon)
+               for a, b in [("late", "early"), ("early", "late"), ("late", "bad_theta"),
+                            ("bad_theta", "late")]}
+    lineups["regressor"] = (problem(["1", "pow(1.3 - t, 0.5)"], [1, 2]),
+                            [ok, EstimatorConfig(variant=Variant.GE, tau=1.0)], horizon)
+    lineups["law"] = (problem(["1 + 0.5*sin(t)"], [1.5]),
+                      [EstimatorConfig(variant=Variant.GE, tau=1.0 + j)
+                       for j in range(SCAN_CONFIGS)]
+                      + [EstimatorConfig(variant=Variant.MGE_MRE, tau=1.0, mu=0.5),
+                         EstimatorConfig(variant=Variant.GE, tau=1e9)],
+                      SimSettings(t_end=1.0))
+    return lineups
+
+
 def dump(path: str, t_end) -> None:
     """Run every builtin and the line-up 'mixed', and save each trajectory
     field as 'run/<name>/<label>/<field>' and each builtin's excitation column
-    as 'excitation/<name>/<t or rho>'."""
+    as 'excitation/<name>/<t or rho>'; then run each failing line-up and save
+    its error's type, message and config_index as 'error/<name>' ('none'
+    when it does not fail)."""
     from paramest import harness
     from paramest.catalog import BUILTIN_NAMES
+    from paramest.sim import simulate_all
 
     arrays = {}
     configs = [harness.scenario_from_name(name, t_end=t_end) for name in BUILTIN_NAMES]
@@ -71,6 +114,13 @@ def dump(path: str, t_end) -> None:
         columns = np.array(result.excitation, dtype=float).reshape(-1, 2).T
         for field, value in zip(TABLES["excitation"], columns):
             arrays[f"excitation/{name}/{field}"] = value
+    for name, lineup in failing().items():
+        try:
+            simulate_all(*lineup)
+            error = ("none", "", "")
+        except Exception as exc:
+            error = (type(exc).__name__, str(exc), str(getattr(exc, "config_index", None)))
+        arrays[f"error/{name}"] = np.array(error)
     np.savez(path, **arrays)
 
 
@@ -135,8 +185,25 @@ def main() -> int:
                 failed |= any(gap > args.atol for gap in gaps)
                 largest[table] = max(largest[table], *gaps)
                 print(f"{row.split('/', 1)[1]:24s}" + "".join(f"{gap:12.3g}" for gap in gaps))
+        lineups = sorted({key.split("/", 1)[1] for key in (*this, *other)
+                          if key.startswith("error/")})
+        differ = 0
+        print(f"{'error':24s}{'type':>20s}{'index':>6s}  sides")
+        for name in lineups:
+            pair = [side.get(f"error/{name}", np.array(["missing", "", ""])).tolist()
+                    for side in (this, other)]
+            same = pair[0] == pair[1]
+            differ += not same
+            kind, _, index = pair[0]
+            print(f"{name:24s}{kind:>20s}{index:>6s}  " + ("same" if same else "DIFFER"))
+            if not same:
+                for side, (kind, message, index) in zip(sides, pair):
+                    print(f"  {side}: {kind} at {index}: {message}")
+        failed |= differ > 0
     print(f"{counts['run']} runs, {counts['excitation']} excitation tables, "
+          f"{len(lineups)} failing line-ups, "
           + "".join(f"largest {table} gap {gap:.2g}, " for table, gap in largest.items())
+          + f"{differ} differing errors, "
           + f"largest allowed gap {args.atol:g}: " + ("FAIL" if failed else "ok"))
     return 1 if failed else 0
 

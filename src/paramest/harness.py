@@ -166,15 +166,22 @@ def _write_trajectory_csv(traj: Trajectory, path: str):
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
-    """Parse a file written by export_csv back into a Trajectory."""
+    """Parse a file written by export_csv back into a Trajectory. A file of
+    another schema, a row of another length or a non-numeric cell raises
+    ConfigurationError, naming the file and, for a row, its line."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [(number, line.strip().split(",")) for number, line in enumerate(fh, 2)
+                if line.strip()]
     q = len(header) - 4
     if q < 1 or header != _csv_header(q).split(","):
         raise ConfigurationError(f"{path} does not have the trajectory CSV schema")
-    data = np.array([[float(c) for c in row] for row in rows]) if rows else \
-        np.empty((0, len(header)))
+    data = np.empty((len(rows), len(header)))
+    for j, (number, cells) in enumerate(rows):
+        try:  # a non-numeric cell, or a row whose length is not the header's
+            data[j] = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} line {number}: {exc}") from None
     return Trajectory(
         times=data[:, 0],
         estimates=data[:, 1:1 + q],

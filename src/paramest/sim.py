@@ -63,7 +63,8 @@ Divergence is detected after every step, checked once per chunk on the
 states ``affine_rk4`` returns: the first step with a non-finite estimate entry
 or an estimate norm above 1e12 times the largest of 1, |theta| and the
 config's |theta_hat_0| aborts that config's run with its time and component,
-and the walk goes on with the configs listed before it.
+and ends the runs of the configs listed after it: the running configs are
+always a prefix of the list, and the walk ends with the last of them.
 The tables and the engine run with numpy's overflow and invalid-value
 warnings silenced, so a diverging run reports only that step.
 Each config records its estimates into a ``[rows, q]`` array of its own, and
@@ -312,9 +313,12 @@ def stage_tables(problem: EstimationProblem, states: dict, settings: SimSettings
     0 at the others. A key whose state is None reads (w, g); a filter state
     reads the filter run from it by ``filters.filter_scan`` (a ``[4m, q, q]``,
     b ``[4m, q]``) and is replaced by the state after the chunk. A key deleted
-    from ``states`` between chunks is no longer built."""
+    from ``states`` between chunks is no longer built, and once ``states`` is
+    empty the walk ends without sampling the next chunk."""
     q = problem.dimension
     for start, stop in settings.chunks:
+        if not states:
+            return
         w = problem.regressor.sample(settings.half_step_times(start, stop))
         g = w @ problem.true_params
         index = stage_index(stop - start)
@@ -344,8 +348,9 @@ def _check_bounded(ys: np.ndarray, config: EstimatorConfig, dt: float, start: in
         j = int(np.argmin(bounded))
         nonfin = np.nonzero(~np.isfinite(ys[j]))[0]
         comp = int(nonfin[0]) if nonfin.size else int(np.argmax(np.abs(ys[j])))
+        t = float(f"{(start + j) * dt:.12g}")  # 0.009, not 9 * 1e-3 = 0.009000000000000001
         raise DivergenceError(
-            f"state diverged by t={(start + j) * dt} (component {comp}, "
+            f"state diverged by t={t} (component {comp}, "
             f"variant {config.variant.value}, dt={dt})"
         )
 
@@ -357,35 +362,32 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
 
     The tables come from one ``stage_tables`` walk, keyed by None for (w, g)
     and by each distinct ``filter_init`` among the filtered configs; a key
-    leaves the walk with the last config that reads it. The running configs
-    integrate their estimates over the tables they read, ``SCAN_CONFIGS`` to
-    a scan, in config order. Each trajectory is what ``simulate`` records for
-    its config alone, to the bit, in an estimates array of its own.
+    leaves the walk with the last run that reads it, so the walk ends with
+    the last run. The running configs, always a prefix ``configs[:n]``,
+    integrate their estimates over their tables, ``SCAN_CONFIGS`` to a scan.
+    Each trajectory is what ``simulate`` records for its config alone, to
+    the bit, in an estimates array of its own.
 
-    A config whose run fails leaves the walk, and so do the configs after it;
-    those before it in its scan are still scanned and recorded. When any
-    fails, the error of the first failing config in config order is raised,
-    as running ``simulate`` on each config in order would raise it, with that
-    config's index in ``configs`` set as its ``config_index``. A regressor
-    that fails at a chunk, or tables that cannot be built (a MemoryError),
-    fail every config still running, and raise for the first.
+    A failure at config i ends the runs of i and of the configs after it
+    (n = i); those before it in its scan are still scanned and recorded. The
+    error of the first failing config in config order is raised, as running
+    ``simulate`` on each config in order would raise it, with its index as
+    ``config_index``. A regressor that fails at a chunk, or arrays that cannot
+    be built (a MemoryError), fail config 0.
     """
-    if not configs:
-        return []
     q = problem.dimension
     dt = settings.dt
     ks = np.array(settings.record_steps)
-    runs = {}  # config index -> (table key, estimate the next chunk starts from)
-    scales = {}  # config index -> its estimates' divisor in the bound check, >= 1
+    n, error = len(configs), None  # configs[:n] run; error ended the run of configs[n]
+    keys, scales = [], []  # per config: table key, its estimates' divisor in the bound check
+    thetas = np.empty((n, q))  # per config: the estimate the next chunk starts from
     states = {}  # table key -> filter state the next chunk starts from
-    failed = []  # (config index, error) of the first failing config
 
     def fail(i, exc):
-        failed[:] = [(i, exc)]
-        for j in [j for j in runs if j >= i]:
-            del runs[j]
+        nonlocal n, error
+        n, error = i, exc
         # the walk builds no more tables for the keys no running config reads
-        for key in states.keys() - {key for key, _ in runs.values()}:
+        for key in states.keys() - set(keys[:n]):
             del states[key]
 
     for i, config in enumerate(configs):
@@ -395,63 +397,50 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
             fail(i, exc)
             break
         # the configs of one key start from bit-identical filter states
-        key = None if state0.filter is None else float(config.filter_init).hex()
-        states.setdefault(key, state0.filter)
-        runs[i] = key, state0.theta_hat
-        scales[i] = max(1.0, math.hypot(*problem.true_params), math.hypot(*state0.theta_hat))
+        keys.append(None if state0.filter is None else float(config.filter_init).hex())
+        states.setdefault(keys[i], state0.filter)
+        thetas[i] = state0.theta_hat
+        scales.append(max(1.0, math.hypot(*problem.true_params), math.hypot(*thetas[i])))
     try:
-        estimates = {i: np.empty((len(ks), q)) for i in runs}
+        estimates = [np.empty((len(ks), q)) for _ in range(n)]
+        # the tables of a diverging chunk overflow from the step it diverges
+        # at on; every non-finite entry reaches the state it feeds, so the
+        # bound check names that step, and no warning leaks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (start, stop), tables in zip(settings.chunks,
+                                             stage_tables(problem, states, settings)):
+                d = np.empty((min(n, SCAN_CONFIGS), stop - start, q + 1, q))
+                lo, hi = np.searchsorted(ks, [start, stop + 1])
+                for s in range(0, n, SCAN_CONFIGS):
+                    try:
+                        for i in range(s, min(s + SCAN_CONFIGS, n)):
+                            # the law at the points [e_1 ... e_q, theta] is
+                            # the affine stage table f of the law expanded at theta
+                            c = configs[i]
+                            d[i - s] = step_maps(LAWS[c.variant](
+                                np.vstack([np.eye(q), thetas[i]]), *tables[keys[i]],
+                                c.tau, c.mu), dt)
+                    except Exception as exc:
+                        fail(i, exc)
+                    if s >= n:  # a failure ended this slice's runs and the rest
+                        break
+                    e = min(s + SCAN_CONFIGS, n)
+                    i = s  # an engine failure fails the slice's first config
+                    try:
+                        ys = affine_rk4(thetas[s:e], d[:e - s])
+                        thetas[s:e] = ys[:, -1]
+                        for i, ys_i in enumerate(ys, s):
+                            _check_bounded(ys_i / scales[i], configs[i], dt, start)
+                            estimates[i][lo:hi] = ys_i[ks[lo:hi] - start]
+                    except Exception as exc:
+                        fail(i, exc)
+                # release this chunk's tables before the next chunk's are built
+                del d, tables
     except Exception as exc:
-        fail(min(runs), exc)
-    walk = stage_tables(problem, states, settings)
-    # the tables of a diverging chunk overflow from the step it diverges at
-    # on; every non-finite entry reaches the state it feeds, so the bound
-    # check names that step, and no warning leaks
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in settings.chunks:
-            if not runs:
-                break
-            try:
-                tables = next(walk)
-                d = np.empty((min(len(runs), SCAN_CONFIGS), stop - start, q + 1, q))
-            except Exception as exc:
-                fail(min(runs), exc)
-                break
-            lo, hi = np.searchsorted(ks, [start, stop + 1])
-            running = list(runs)
-            for s in range(0, len(running), SCAN_CONFIGS):
-                part = running[s:s + SCAN_CONFIGS]
-                if part[0] not in runs:  # a failure removed the rest
-                    break
-                built = []  # the configs whose step maps fill the rows of d
-                try:
-                    for i in part:
-                        key, theta = runs[i]
-                        # the law at the points [e_1 ... e_q, theta] is the
-                        # affine stage table f of the law expanded at theta
-                        c = configs[i]
-                        d[len(built)] = step_maps(LAWS[c.variant](
-                            np.vstack([np.eye(q), theta]), *tables[key], c.tau, c.mu), dt)
-                        built.append(i)
-                except Exception as exc:
-                    fail(i, exc)
-                if not built:
-                    continue
-                try:
-                    i = built[0]
-                    ys = affine_rk4(np.array([runs[i][1] for i in built]), d[:len(built)])
-                    for i, ys_i in zip(built, ys):
-                        _check_bounded(ys_i / scales[i], configs[i], dt, start)
-                        estimates[i][lo:hi] = ys_i[ks[lo:hi] - start]
-                        runs[i] = runs[i][0], ys_i[-1].copy()
-                except Exception as exc:
-                    fail(i, exc)
-            # release this chunk's tables before the next chunk's are built
-            del d, tables
-    if failed:
-        (i, exc), = failed
-        exc.config_index = i
-        raise exc
+        fail(0, exc)
+    if error is not None:
+        error.config_index = n
+        raise error
 
     return [_RecordedTrajectory(settings.record_times, estimates[i], problem.true_params,
                                 config.mu)

@@ -63,8 +63,10 @@ class TestRun:
         (OVERFLOWING, {"variant": "GE", "tau": 1}, {"t_end": 3.0}, "0.007"),
         (OVERFLOWING, {"variant": "DREM", "tau": 1}, {"t_end": 3.0}, "0.011"),
         (OVERFLOWING_Q4, {"variant": "DREM", "tau": 1}, {"t_end": 2.0}, "0.029"),
+        # 9 * 1e-3 is 0.009000000000000001 in floating point
+        (UNIT, {"variant": "GE", "tau": 5600}, {"t_end": 1.0}, "0.009"),
     ], ids=["tau1e9", "record_every100", "overflow-MRE", "overflow-GE", "overflow-DREM",
-            "overflow-DREM-q4"])
+            "overflow-DREM-q4", "tau5600-float-noise"])
     def test_divergent_run_exits_2(self, tmp_path, capsys, problem, estimator, settings, t):
         doc = {"problem": problem, "estimators": [estimator], "settings": settings}
         cfg = tmp_path / "hot.json"

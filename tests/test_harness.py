@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,9 +283,13 @@ class TestCsv:
 
     def test_rejects_foreign_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigurationError):
-            read_trajectory_csv(str(bad))
+        header = "t,theta_hat_1,err_norm,manifold_residual,storage\n"
+        for text, match in [("a,b\n1,2\n", "schema"),
+                            (header + "0,1,2,3,4\n\n0.1,x,2,3,4\n", "line 4: could not convert"),
+                            (header + "0,1,2,3\n", "line 2: could not broadcast")]:
+            bad.write_text(text)
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(str(bad))}.*{match}"):
+                read_trajectory_csv(str(bad))
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_format_float_round_trips(self, x):

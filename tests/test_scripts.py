@@ -32,16 +32,25 @@ def test_run_all_scenarios_writes_csv_and_svg(tmp_path):
 def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     proc = run_script("compare_runs.py", ROOT / "src", "--t-end", "0.2")
     assert proc.returncode == 0, proc.stderr
-    assert ("22 runs, 6 excitation tables, largest run gap 0, largest excitation gap 0, "
-            "largest allowed gap 0: ok") in proc.stdout
+    assert ("22 runs, 6 excitation tables, 6 failing line-ups, largest run gap 0, "
+            "largest excitation gap 0, 0 differing errors, largest allowed gap 0: ok"
+            ) in proc.stdout
+    errors = [line.split() for line in proc.stdout.splitlines()[31:37]]
+    assert [row[1:] for row in errors] == [
+        ["ConfigurationError", "1", "same"], ["DivergenceError", "1", "same"],
+        ["DivergenceError", "1", "same"], ["DivergenceError", "1", "same"],
+        ["ConfigurationError", "8", "same"], ["SignalEvalError", "0", "same"]]
 
-    # a copy whose example1 gain differs shows a gap on that run alone
+    # a copy whose example1 gain differs shows a gap on that run alone, and
+    # one whose divergence message differs differs on the diverging line-ups
     shutil.copytree(ROOT / "src" / "paramest", tmp_path / "paramest",
                     ignore=shutil.ignore_patterns("__pycache__"))
     scenario = tmp_path / "paramest" / "scenarios" / "example1.json"
     doc = json.loads(scenario.read_text())
     doc["estimators"][0]["tau"] *= 1.5
     scenario.write_text(json.dumps(doc))
+    sim = tmp_path / "paramest" / "sim.py"
+    sim.write_text(sim.read_text().replace("state diverged by", "state blew up by"))
     proc = run_script("compare_runs.py", tmp_path, "--t-end", "0.2")
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
@@ -51,12 +60,20 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     assert len(runs) == 22 and sum(name.startswith("mixed/") for name in runs) == 10
     assert [name for name, gaps in runs.items() if float(gaps[1]) > 0] == ["example1/MGE"]
     # the gain does not touch the regressor: every excitation table matches
-    tables = {line.split()[0]: line.split()[1:] for line in lines[24:-1]}
+    tables = {line.split()[0]: line.split()[1:] for line in lines[24:30]}
     assert sorted(tables) == [f"example{i}" for i in range(1, 7)]
     assert all(float(gap) == 0 for gaps in tables.values() for gap in gaps)
+    assert lines[30].split() == ["error", "type", "index", "sides"]
+    errors = {line.split()[0]: line.split()[-1] for line in lines[31:-1]
+              if not line.startswith(" ")}
+    assert [name for name, sides in errors.items() if sides == "DIFFER"] == [
+        "early-late", "late-bad_theta", "late-early"]
+    assert "  this: DivergenceError at 1: state diverged by t=0.001 " in proc.stdout
+    assert "  other: DivergenceError at 1: state blew up by t=0.001 " in proc.stdout
     summary = lines[-1].split(", ")
-    assert summary[2].startswith("largest run gap ") and float(summary[2].split()[-1]) > 0
-    assert summary[3:] == ["largest excitation gap 0", "largest allowed gap 0: FAIL"]
+    assert summary[3].startswith("largest run gap ") and float(summary[3].split()[-1]) > 0
+    assert summary[4:] == ["largest excitation gap 0", "3 differing errors",
+                           "largest allowed gap 0: FAIL"]
 
 
 STUB_RUN = '''\

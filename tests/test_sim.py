@@ -22,6 +22,7 @@ from paramest.sim import (
     rk4_step,
     simulate,
     simulate_all,
+    stage_tables,
     step_maps,
 )
 from paramest.types import (
@@ -370,6 +371,41 @@ class TestConfigAxis:
             simulate_all(problem, configs, settings)
         assert str(joint.value) == str(alone.value) and joint.value.config_index == 0
         assert float(str(alone.value).split("t=")[1].split(" ")[0]) > 2 * CHUNK_STEPS * 1e-3
+
+
+class TestWalkEnd:
+    """The chunk walk ends with the last key, and so with the last run."""
+
+    PROBLEM = EstimationProblem(regressor_from_strings(["1", "cos(t)"]), np.array([1.0, 2.0]))
+    SETTINGS = SimSettings(t_end=(2 * CHUNK_STEPS + 10) * 1e-3)
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        calls = []
+        sample = RegressorSpec.sample
+
+        def counted(*args):
+            calls.append(args[1][0])
+            return sample(*args)
+
+        monkeypatch.setattr(RegressorSpec, "sample", counted)
+        return calls
+
+    def test_stage_tables_stops_once_every_key_is_deleted(self, samples):
+        states = {None: None, "filter": FilterState.uniform(2, 0.1)}
+        walk = stage_tables(self.PROBLEM, states, self.SETTINGS)
+        assert sorted(next(walk), key=str) == [None, "filter"] and samples == [0.0]
+        del states[None], states["filter"]
+        assert list(walk) == [] and samples == [0.0]
+
+    def test_simulate_all_samples_once_when_every_config_diverges_in_chunk_1(self, samples):
+        assert len(self.SETTINGS.chunks) == 3
+        configs = [EstimatorConfig(variant=Variant.GE, tau=1e9),
+                   EstimatorConfig(variant=Variant.MRE, tau=1e9, filter_init=0.1),
+                   EstimatorConfig(variant=Variant.MGE_MRE, tau=1e9, mu=0.5)]
+        with pytest.raises(DivergenceError, match="t=0.001 ") as joint:
+            simulate_all(self.PROBLEM, configs, self.SETTINGS)
+        assert joint.value.config_index == 0 and samples == [0.0]
 
 
 class TestSimulate:
