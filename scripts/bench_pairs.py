@@ -17,13 +17,18 @@ commit: --parent-commit, else HEAD of PARENT_DIR when it is a git checkout,
 else the commit the parent's run reports (a ``git archive`` copy has none,
 so pass --parent-commit). The resolved paths of PARENT_DIR and of this
 checkout must be of equal length: a run's times move with the length of the
-path it runs from, so the script refuses unequal ones before any run.
+path it runs from, so the script refuses unequal ones before any run. It also
+refuses to start while either checkout holds a ``__pycache__`` under ``src/``
+or ``bench/``: a run's setup_s moves with the bytecode it finds there, valid
+or stale. Every run gets PYTHONDONTWRITEBYTECODE=1, so both sides compile
+from source on every run, as a fresh checkout does.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR --workload W [--seed S]
            --pairs N --out FILE [--trace] [--parent-commit SHA]
 """
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -51,7 +56,8 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     if trace:
         cmd += ["--trace", "1"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(cmd[1:])} in {checkout} exited {proc.returncode}\n"
@@ -153,6 +159,11 @@ def main(argv=None) -> int:
     if len(str(checkouts["parent"])) != len(str(ROOT)):
         sys.exit(f"error: the checkout paths {checkouts['parent']} and {ROOT} differ in "
                  "length; run both from paths of equal length")
+    caches = [str(path) for side in SIDES for part in ("src", "bench")
+              for path in sorted((checkouts[side] / part).rglob("__pycache__"))]
+    if caches:
+        sys.exit("error: bytecode caches would let one side skip compiling: "
+                 + ", ".join(caches) + "; delete them and run again")
     new = {side: [] for side in SIDES}
     for pair in range(entry.get("pairs", 0) + 1, entry.get("pairs", 0) + args.pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:

@@ -27,7 +27,6 @@ from .sim import (
     affine_rk4,
     convergence_time,
     simulate,
-    stage_index,
     stage_tables,
     step_maps,
 )
@@ -156,14 +155,15 @@ def _integrate_error_ode(spec, theta_err_0, tau, mu, settings):
     """RK4 run of the modified-gain parameter-error dynamics
     d(err)/dt = -k(w) w^T err, a law written here from ``mge_gain`` alone, so
     it is independent of the estimator law that ``simulate`` integrates. It is
-    linear in err, so its stage table is -w k(w)^T over the value row of the
-    law at theta_err_0, where the run starts."""
-    w = spec.sample(settings.half_step_times())[stage_index(settings.n_steps)]
+    linear in err, so its table on the half-step grid is -w k(w)^T over the
+    value row of the law at theta_err_0, where the run starts."""
+    w = spec.sample(settings.half_step_times())
     q = w.shape[-1]
     f = np.empty((len(w), q + 1, q))
     f[:, :q] = -w[:, :, None] * mge_gain(w, tau, mu)[:, None, :]
     f[:, q] = theta_err_0 @ f[:, :q]
-    return affine_rk4(theta_err_0, step_maps(f, settings.dt))[settings.record_steps]
+    d = step_maps((f[:-1:2], f[1::2], f[1::2], f[2::2]), settings.dt)
+    return affine_rk4(theta_err_0, d)[settings.record_steps]
 
 
 def _c4_duality():
@@ -189,7 +189,8 @@ def _filter_states(spec, settings):
     problem = EstimationProblem(spec, np.zeros(q))
     states = {"filter": FilterState.uniform(q)}
     # the Omega points of stage 0 of each step: its start state
-    omegas = [tables["filter"][0][::4, 0] for tables in stage_tables(problem, states, settings)]
+    walk = (tables["filter"] for tables in stage_tables(problem, states, settings))
+    omegas = [a[stages[0], 0] for a, _, stages in walk]
     return np.concatenate(omegas + [states["filter"].omega_ext[None]])
 
 
@@ -292,8 +293,8 @@ def _c10_drem_monotone():
 def _rk4_global_error(dt: float) -> float:
     """Error at t = 1 of the production engine on dy/dt = -y, y(0) = 1."""
     n = SimSettings(t_end=1.0, dt=dt).n_steps
-    # dy/dt = -y expanded at y(0) = 1
-    y = affine_rk4(np.array([1.0]), step_maps(np.tile([[-1.0], [-1.0]], (4 * n, 1, 1)), dt))[-1]
+    # dy/dt = -y expanded at y(0) = 1, the same table at every stage
+    y = affine_rk4(np.array([1.0]), step_maps([np.tile([[-1.0], [-1.0]], (n, 1, 1))] * 4, dt))[-1]
     return abs(float(y[0]) - math.exp(-1.0))
 
 

@@ -66,9 +66,9 @@ def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
     With x = [Omega.ravel(), G] and u = filter_law(0, 0, w, g), the filter is
     dx/dt = u - x, so stage s of step k evaluates the law at
     ``alpha_s x_k + beta_{s,k}`` and the step is ``x_{k+1} = rho x_k + F_k``, rho
-    the RK4 polynomial at -dt. Returns the Omega stages ``[m, 4, q, q]``, the G
-    stages ``[m, 4, q]`` (stage 0 is the state x_k itself) and the state after
-    step m.
+    the RK4 polynomial at -dt. Returns the Omega stages ``[4, m, q, q]`` and G
+    stages ``[4, m, q]``, views of one buffer with each stage contiguous
+    (stage 0 is the state x_k itself), and the state after step m.
     """
     q, m = w.shape[-1], (len(w) - 1) // 2
     width = q * q + q
@@ -81,9 +81,9 @@ def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
     alpha4 = 1.0 - dt * alpha3
     rho = 1.0 - dt / 6.0 * (1.0 + 2.0 * (alpha2 + alpha3) + alpha4)
 
-    # stages[:, s] = alpha_s x_k + beta_{s,k}; the beta go in first, in place
-    stages = np.empty((m, 4, width))
-    beta2, beta3, beta4 = stages[:, 1], stages[:, 2], stages[:, 3]
+    # stages[s] = alpha_s x_k + beta_{s,k}; the beta go in first, in place
+    stages = np.empty((4, m, width))
+    beta2, beta3, beta4 = stages[1:]
     np.multiply(0.5 * dt, u0, out=beta2)
     np.subtract(uh, beta2, out=beta3)
     beta3 *= 0.5 * dt
@@ -112,13 +112,13 @@ def filter_scan(state: FilterState, w: np.ndarray, g: np.ndarray, dt: float):
         xs[b] += carry * x
         x = xs[b, -1]
     xs = xs.reshape(-1, width)
-    stages[1:, 0] = xs[:m - 1]
+    stages[0, 1:] = xs[:m - 1]
     for s, alpha in ((1, alpha2), (2, alpha3), (3, alpha4)):
-        stages[:, s] += alpha * stages[:, 0]
+        stages[s] += alpha * stages[0]
 
     x = xs[m - 1].copy()  # not a view: the state outlives the chunk's scan
     end = FilterState(x[:q * q].reshape(q, q), x[q * q:])
-    return stages[..., :q * q].reshape(m, 4, q, q), stages[..., q * q:], end
+    return stages[..., :q * q].reshape(4, m, q, q), stages[..., q * q:], end
 
 
 def filter_rhs(state: FilterState, omega: np.ndarray, g: float) -> FilterState:

@@ -5,71 +5,61 @@ fourth-order Runge-Kutta scheme is used everywhere: runs are deterministic,
 the order is testable, and no step-size heuristics enter the results.
 Signals are evaluated at the RK4 stage times (t, t+dt/2, t+dt), not held
 constant over a step. ``affine_rk4`` is the one integration engine. Every
-law it integrates is affine in the state, so it reads one affine stage table
-f ``[4K, q + 1, q]`` at the stage index 4k + s (stage s of step k; the two
-midpoint stages share a time but not a filter value): rows ``:q`` of f[i]
-are the law's linear part and row q its value at the expansion point
-theta_s, ``law(y) = [y - theta_s, 1] @ f[i]``. One classical RK4 step of
+law it integrates is affine in the state, so it reads four affine stage
+tables f_s ``[K, q + 1, q]``, one per RK4 stage (the two midpoint stages
+share a time but not a filter value): rows ``:q`` of f_s[k] are the law's
+linear part at stage s of step k and row q its value at the expansion point
+theta_s, ``law(y) = [y - theta_s, 1] @ f_s[k]``. One classical RK4 step of
 that law is exactly ``y+ = y + [y - theta_s, 1] @ d[k]``, and ``step_maps``
 builds the step table d ``[K, q + 1, q]`` with batched products. The maps
 compose associatively, so ``affine_rk4`` runs them as a blocked scan
 (Blelloch 1990, "Prefix sums and their applications"): about sqrt(K)
 batched products and two short loops per chunk of K steps, instead of four
-right-hand-side evaluations and the stage sums per step. Its states match
-the per-step update to rounding (at most 5.3e-13 over the builtin runs), an
-estimate at rest stays there to the bit, and a config whose scan is not
-finite falls back to the per-step update. It reads step tables expanded at
-the state they start from, ``affine_rk4(y, step_maps(f, dt))``, on leading
-config axes that one scan runs, each config to the bit as alone: every scan
-starts from z = 0, and the step maps before the first step that would move
-y are zeroed into identity maps. ``simulate_all`` and the acceptance
-criteria integrate through it, and ``rk4_step`` is the independent one-step
-reference the tests pin it to.
+right-hand-side evaluations and the stage sums per step. It reads step
+tables expanded at the state they start from, ``affine_rk4(y,
+step_maps(f, dt))``, on leading config axes that one scan runs, each config
+to the bit as alone; an estimate at rest stays there to the bit.
+``simulate_all`` and the acceptance criteria integrate through it, and
+``rk4_step`` is the independent one-step reference the tests pin it to.
 
 ``simulate_all`` walks the time axis in chunks of ``CHUNK_STEPS`` (512)
 steps, once per scenario, for all of its estimator configs at once, so its
-memory is bounded by a chunk and the recorded rows, not by the horizon; the
-step maps need no long chunks to amortize their build. The walk is
-``stage_tables``: per chunk it samples the regressor once on the half-step
-grid and builds, once per table key, the stage tables (a, b) the laws of
-``estimators.LAWS`` read: (w, g) at each stage time for GE/MGE, and for the
-filtered variants the (Omega, G) stage values that ``filters.filter_scan``
-computes for the whole chunk at once, since the filter does not depend on
-the estimate: one scan for each distinct ``filter_init``, its state carried
-from chunk to chunk. Every law is affine in the estimate, so for each config
-one vectorized call of its law at the q + 1 points [e_1 ... e_q, theta_s]
-builds the affine stage table f of the law expanded at the estimate theta_s
-the chunk starts from. The running configs go in config order,
-``SCAN_CONFIGS`` (8) at a time whatever their variants and table keys: each
-f becomes its config's row of the slice's step tables ``[S, K, q + 1, q]``
-at once, one ``affine_rk4`` scan runs the slice, and each estimate is
-carried to the next chunk. ``simulate`` is that walk over one config.
-Expanding at theta_s, not at 0, keeps an estimate at rest exactly where the
-law puts it: y - theta_s is exactly 0 until the estimate moves, and the
-identity maps ``affine_rk4`` puts before the first step that moves it keep
-it at theta_s to the bit. Started at the truth, the unfiltered estimates
-never move.
+memory is bounded by a chunk and the recorded rows, not by the horizon. The
+walk is ``stage_tables``: per chunk of m steps it samples the regressor once
+on the half-step grid and builds, once per table key, the distinct stage
+inputs the laws of ``estimators.LAWS`` read: (w, g) at the 2m + 1 half-step
+points for GE/MGE, as the midpoint stages share a time and stage 3 of a step
+is stage 0 of the next, and for the filtered variants the 4m (Omega, G)
+stage values of one ``filters.filter_scan`` per distinct ``filter_init``,
+its state carried from chunk to chunk. For each config one vectorized call
+of its law at the q + 1 points [e_1 ... e_q, theta_s] over those inputs
+builds the affine table of the law expanded at the estimate theta_s the
+chunk starts from, and four slices of it are its stage tables f_s. The
+running configs go in config order, ``SCAN_CONFIGS`` (8) at a time whatever
+their variants and table keys: their step tables fill one ``[S, K, q + 1, q]``
+array, one ``affine_rk4`` scan runs the slice, and each estimate is carried
+to the next chunk. ``simulate`` is that walk over one config. Expanding at
+theta_s, not at 0, keeps an estimate at rest exactly where the law puts it:
+started at the truth, the unfiltered estimates never move.
 
-The affine tables are sized for small q, as in the builtins (q <= 3), where
-their speed-up was measured: f holds q^2 + q entries per stage and d as many
-per step for every variant (197 and 49 kB per chunk and config at q = 3; one
-f and one slice's d are alive at a time, so a chunk's memory does not grow
-with the number of configs), the law runs over q + 1 points per stage, and
+The affine tables are sized for small q, as in the builtins (q <= 3): the
+law's table holds q^2 + q entries per stage input and d as many per step (at
+q = 3, 197 kB per chunk and config for the filtered variants, 98 kB for
+GE/MGE, 49 kB of d; one table and one slice's d are alive at a time), and
 the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
-q = 16 over t_end = 5 a GE run peaks at 9.5 MB (tracemalloc), and DREM takes
-1.8 s, most of it in the SVD adjugate of its one law call per chunk.
+q = 16 over t_end = 5 a GE run peaks at 8.2 MB (tracemalloc), and DREM takes
+1.1 s (2 cores, numpy 2.4.6), most of it in the SVD adjugate of its one law
+call per chunk.
 
-Divergence is detected after every step, checked once per chunk on the
-states ``affine_rk4`` returns: the first step with a non-finite estimate entry
-or an estimate norm above 1e12 times the largest of 1, |theta| and the
-config's |theta_hat_0| aborts that config's run with its time and component,
-and ends the runs of the configs listed after it: the running configs are
-always a prefix of the list, and the walk ends with the last of them.
-The tables and the engine run with numpy's overflow and invalid-value
-warnings silenced, so a diverging run reports only that step.
-Each config records its estimates into a ``[rows, q]`` array of its own, and
-its trajectory computes the error norms and manifold diagnostics from them
-each time they are read.
+Divergence is checked once per chunk on the states ``affine_rk4`` returns:
+the first step with a non-finite estimate entry or an estimate norm above
+1e12 times the largest of 1, |theta| and the config's |theta_hat_0| aborts
+that config's run with its time and component, and ends the runs of the
+configs listed after it. The tables and the engine run with numpy's overflow
+and invalid-value warnings silenced, so a diverging run reports only that
+step. Each config records its estimates into a ``[rows, q]`` array of its
+own, and its trajectory computes the error norms and manifold diagnostics
+from them each time they are read.
 """
 from __future__ import annotations
 
@@ -93,8 +83,6 @@ _STATE_NORM_LIMIT = 1e12
 CHUNK_STEPS = 512
 # running configs per scan, in config order: a chunk holds this many step tables
 SCAN_CONFIGS = 8
-# half-step grid offsets of the four RK4 stages of a step: t_k, t_k + dt/2 twice, t_k + dt
-_STAGE_HALF_STEPS = np.array([0, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -165,11 +153,6 @@ class SimSettings:
         return [(k, min(k + CHUNK_STEPS, n)) for k in range(0, n, CHUNK_STEPS)]
 
 
-def stage_index(m: int) -> np.ndarray:
-    """Half-step grid index of stage s of step k at entry 4k + s, for k < m."""
-    return (2 * np.arange(m)[:, None] + _STAGE_HALF_STEPS).ravel()
-
-
 def rk4_step(rhs, t: float, state: np.ndarray, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of ``d state/dt = rhs(t, state)``."""
     if dt <= 0:
@@ -191,32 +174,30 @@ def _checked_stage(value, t: float) -> np.ndarray:
     return value
 
 
-def step_maps(f: np.ndarray, dt: float) -> np.ndarray:
-    """The classical RK4 steps over the affine stage table f, as one step
+def step_maps(f, dt: float) -> np.ndarray:
+    """The classical RK4 steps over the affine stage tables f, as one step
     table d ``[K, q + 1, q]``.
 
-    Stage s of step k reads ``law(y) = [y - o, 1] @ f[4k+s]`` (f
-    ``[4K, q + 1, q]``, o any expansion point): rows ``:q`` of f[i] are the
-    law's linear part and row q its value at o. One RK4 step from y is then
-    exactly ``y + [y - o, 1] @ d[k]``, built for all K steps at once. Stage s
-    is itself affine in y, ``[y - o, 1] @ G_s``: G_0 = F_0, and stage s >= 1
-    reads the law at ``y + h_s k_{s-1}`` (h_s = dt/2, dt/2, dt), so
-    ``G_s = F_s + (h_s G_{s-1}) @ F_s[:q]``; d is the RK4 sum
-    dt/6 (G_0 + 2 G_1 + 2 G_2 + G_3).
+    Stage s of step k reads ``law(y) = [y - o, 1] @ f[s][k]`` (f the four
+    stage tables ``[K, q + 1, q]``, o any expansion point): rows ``:q`` of
+    f[s][k] are the law's linear part and row q its value at o. One RK4 step
+    from y is then exactly ``y + [y - o, 1] @ d[k]``, built for all K steps at
+    once. Stage s is itself affine in y, ``[y - o, 1] @ G_s``: G_0 = F_0, and
+    stage s >= 1 reads the law at ``y + h_s k_{s-1}`` (h_s = dt/2, dt/2, dt),
+    so ``G_s = F_s + (h_s G_{s-1}) @ F_s[:q]``; d is dt/6 (G_0 + 2 G_1 + 2 G_2 + G_3).
     """
-    q = f.shape[-1]
-    f = f.reshape(-1, 4, q + 1, q)
-    g = g_sum = f[:, 0]
+    q = f[0].shape[-1]
+    g = g_sum = f[0]
     for s, h, weight in ((1, 0.5 * dt, 2.0), (2, 0.5 * dt, 2.0), (3, dt, 1.0)):
-        g = f[:, s] + (h * g) @ f[:, s, :q]
+        g = f[s] + (h * g) @ f[s][:, :q]
         g_sum = g_sum + weight * g
     return (dt / 6.0) * g_sum
 
 
 def affine_rk4(y: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Classical RK4 from y over the step tables d of a law expanded at the
-    state it starts from, ``d = step_maps(f, dt)`` for f the stage table of
-    ``dx/dt = [x - y, 1] @ f[i]``. Leading axes run independent configs:
+    state it starts from, ``d = step_maps(f, dt)`` for f the stage tables of
+    ``dx/dt = [x - y, 1] @ f[s][k]``. Leading axes run independent configs:
     y ``[..., q]``, d ``[..., K, q + 1, q]``. Returns the states
     ``[..., K + 1, q]``: row k is the state after k steps, row 0 is y.
     Overflow and invalid-value warnings are silenced: a state that leaves its
@@ -244,10 +225,14 @@ def affine_rk4(y: np.ndarray, d: np.ndarray) -> np.ndarray:
     ys[:, 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         # a step moves y when y + m_k rounds to a new value, or when 0 @ N_k
-        # is nan; the steps before the first one that moves keep y
-        moves = ((y[:, None] + d[:, :, -1] != y[:, None]).any(axis=2)
-                 | ~np.isfinite(d[:, :, :-1]).all(axis=(2, 3)))
-        d[~np.logical_or.accumulate(moves, axis=1)] = 0.0
+        # is nan; the steps before each config's first moving step keep y
+        moves = (y[:, None] + d[:, :, -1] != y[:, None]).reshape(len(y), -1)
+        first = np.where(moves.any(axis=1), moves.argmax(axis=1) // q, k)
+        if not np.isfinite(d).all():
+            bad = ~np.isfinite(d[:, :, :-1]).all(axis=(2, 3))
+            first = np.minimum(first, np.where(bad.any(axis=1), bad.argmax(axis=1), k))
+        for j, stop in enumerate(first):
+            d[j, :stop] = 0.0
         ys[:, 1:] = y[:, None] + _scan(d)
         for j in np.flatnonzero(~np.isfinite(ys[:, 1:]).all(axis=(1, 2))):
             _step_loop(ys[j], d[j])
@@ -272,8 +257,9 @@ def _scan(d: np.ndarray) -> np.ndarray:
 
     In homogeneous coordinates [z, 1] each map is the square matrix I + D_k,
     D_k holding d[c, k] in its first q columns and 0 in its last. The K maps
-    are split into blocks of about sqrt(K). One loop over the position i in
-    a block builds, for all configs and blocks at once, the prefix products
+    are split into blocks of about sqrt(K), kept position-major so that
+    position i of every block and config is one contiguous stack. One loop
+    over i builds, for all configs and blocks at once, the prefix products
     ``I + Q_i = (I + D_0) ... (I + D_i)`` in the form
     ``Q_i = Q_{i-1} + D_i + Q_{i-1} @ D_i``, which keeps the small N_k apart
     from the identity; the top rows of I + Q_i are the prefix product P_i of
@@ -286,52 +272,61 @@ def _scan(d: np.ndarray) -> np.ndarray:
     """
     c, k, q = d.shape[0], d.shape[1], d.shape[-1]
     size = math.isqrt(k - 1) + 1  # ceil(sqrt(K)): blocks of ~sqrt(K) steps
-    n_blocks = -(-k // size)
-    # the padded steps are identity maps, D = 0
-    sq = np.zeros((c, n_blocks * size, q + 1, q + 1))
-    sq[:, :k, :, :q] = d
-    sq = sq.reshape(c * n_blocks, size, q + 1, q + 1)
+    n_blocks, rest = divmod(k, size)
+    # step b * size + i of config c is sq[i, b, c]; the padded steps are
+    # identity maps, D = 0
+    sq = np.zeros((size, -(-k // size), c, q + 1, q + 1))
+    blocks = sq[..., :q].transpose(2, 1, 0, 3, 4)  # [C, n_blocks, size, q + 1, q]
+    blocks[:, :n_blocks] = d[:, :n_blocks * size].reshape(c, n_blocks, size, q + 1, q)
+    if rest:
+        blocks[:, n_blocks, :rest] = d[:, n_blocks * size:]
     for i in range(1, size):
-        prod = sq[:, i - 1] @ sq[:, i]
-        prod += sq[:, i - 1]
-        sq[:, i] += prod
-    # block b of every config is sq[b::n_blocks]
-    starts = np.empty((c * n_blocks, 1, q + 1))
+        prod = sq[i - 1] @ sq[i]
+        prod += sq[i - 1]
+        sq[i] += prod
+    starts = np.empty(sq.shape[1:3] + (1, q + 1))
     zb = np.tile(np.eye(q + 1)[q], (c, 1, 1))  # [z, 1] at z = 0
-    for b in range(n_blocks):
-        starts[b::n_blocks] = zb
-        zb = zb + zb @ sq[b::n_blocks, -1]
-    rows = starts + (starts[:, None] @ sq)[:, :, 0]
-    return rows.reshape(c, -1, q + 1)[:, :k, :q]
+    for b, last in enumerate(sq[-1]):  # block b ends at sq[-1, b]
+        starts[b] = zb
+        zb = zb + zb @ last
+    rows = (starts + starts @ sq)[..., 0, :q]  # [size, n_blocks, C, q]
+    return rows.transpose(2, 1, 0, 3).reshape(c, -1, q)[:, :k]
 
 
 def stage_tables(problem: EstimationProblem, states: dict, settings: SimSettings):
-    """Yield, for each chunk of ``settings.chunks``, the point tables the laws
-    of ``estimators.LAWS`` read, by table key: for each key of ``states``,
-    ``(a[:, None], b_points)``, with (a[4j+s], b[4j+s]) the law's inputs at
-    stage s of step start+j and b_points b at the last of the q + 1 points,
-    0 at the others. A key whose state is None reads (w, g); a filter state
-    reads the filter run from it by ``filters.filter_scan`` (a ``[4m, q, q]``,
-    b ``[4m, q]``) and is replaced by the state after the chunk. A key deleted
-    from ``states`` between chunks is no longer built, and once ``states`` is
-    empty the walk ends without sampling the next chunk."""
+    """Yield, for each chunk of ``settings.chunks``, the tables the laws of
+    ``estimators.LAWS`` read, by table key: for each key of ``states``,
+    ``(a[:, None], b_points, stages)``. (a[i], b[i]) are the law's distinct
+    stage inputs over the chunk's m steps, b_points holds b at the last of the
+    q + 1 points and 0 at the others, and ``stages`` holds the four slices of
+    the law's output that are the stage tables ``step_maps`` reads, in stage
+    order. A key whose state is None reads (w, g) at the 2m + 1 points of the
+    half-step grid: stage 0 of step start+j reads point 2j, stages 1 and 2
+    point 2j + 1 and stage 3 point 2j + 2. A filter state reads the filter run
+    from it by ``filters.filter_scan``, stage-major (a ``[4m, q, q]``,
+    b ``[4m, q]``, stage s in rows sm to (s + 1)m), and is replaced by the
+    state after the chunk. A key deleted from ``states`` between chunks is no
+    longer built, and once ``states`` is empty the walk ends without sampling
+    the next chunk."""
     q = problem.dimension
+    half_steps = (slice(0, -1, 2), slice(1, None, 2), slice(1, None, 2), slice(2, None, 2))
     for start, stop in settings.chunks:
         if not states:
             return
         w = problem.regressor.sample(settings.half_step_times(start, stop))
         g = w @ problem.true_params
-        index = stage_index(stop - start)
         tables = {}
         for key, state in states.items():
             if state is None:
-                a, b = w[index], g[index]
+                a, b, stages = w, g, half_steps
             else:
                 a, b, states[key] = filter_scan(state, w, g, settings.dt)
                 a, b = a.reshape(-1, q, q), b.reshape(-1, q)
+                m = stop - start
+                stages = tuple(slice(s * m, (s + 1) * m) for s in range(4))
             b_points = np.zeros((len(b), q + 1) + b.shape[1:])
             b_points[:, q] = b
-            tables[key] = a[:, None], b_points
+            tables[key] = a[:, None], b_points, stages
             del a, b, b_points  # only tables holds them now
         yield tables
         del w, g, tables  # released before the next chunk's are built
@@ -414,12 +409,15 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
                 for s in range(0, n, SCAN_CONFIGS):
                     try:
                         for i in range(s, min(s + SCAN_CONFIGS, n)):
-                            # the law at the points [e_1 ... e_q, theta] is
-                            # the affine stage table f of the law expanded at theta
+                            # the law at the points [e_1 ... e_q, theta] over the
+                            # distinct stage inputs is the affine table f of the
+                            # law expanded at theta; its stage slices are the f_s
                             c = configs[i]
-                            d[i - s] = step_maps(LAWS[c.variant](
-                                np.vstack([np.eye(q), thetas[i]]), *tables[keys[i]],
-                                c.tau, c.mu), dt)
+                            a, b, stages = tables[keys[i]]
+                            f = LAWS[c.variant](np.vstack([np.eye(q), thetas[i]]), a, b,
+                                                c.tau, c.mu)
+                            d[i - s] = step_maps([f[stage] for stage in stages], dt)
+                            del f  # not kept alive through the scan
                     except Exception as exc:
                         fail(i, exc)
                     if s >= n:  # a failure ended this slice's runs and the rest

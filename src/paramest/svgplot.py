@@ -46,8 +46,8 @@ class _Panel:
         return b["y1"] - (y - self.ylo) / (self.yhi - self.ylo) * (b["y1"] - b["y0"])
 
     def polyline(self, xs, ys, color, dash=None, width=1.2):
-        pts = " ".join(f"{x:.2f},{y:.2f}"
-                       for x, y in zip(self.px(xs).tolist(), self.py(ys).tolist()))
+        xy = np.column_stack([self.px(xs), self.py(ys)]).ravel().tolist()
+        pts = ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]  # one format call for all points
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
                 f'{dash_attr} points="{pts}"/>')

@@ -124,9 +124,12 @@ class TestScan:
         states = {"filter": FilterState.uniform(q, init)}
         chunks = [tables["filter"] for tables in stage_tables(
             EstimationProblem(spec, theta), states, SimSettings(t_end=n_steps * dt, dt=dt))]
-        # the walk's point tables hold the stages in a, and b at the last point
-        omega_ext = np.concatenate([a[:, 0] for a, _ in chunks]).reshape(n_steps, 4, q * q)
-        g_ext = np.concatenate([b[:, q] for _, b in chunks]).reshape(n_steps, 4, q)
+        # the walk's point tables hold the stages in a, and b at the last
+        # point, stage s of the chunk's steps at the rows of its slice
+        omega_ext = np.concatenate([np.stack([a[s, 0] for s in stages], axis=1)
+                                    for a, _, stages in chunks]).reshape(n_steps, 4, q * q)
+        g_ext = np.concatenate([np.stack([b[s, q] for s in stages], axis=1)
+                                for _, b, stages in chunks]).reshape(n_steps, 4, q)
         end = states["filter"]
         got = np.concatenate([omega_ext, g_ext], axis=-1)
         got_end = np.concatenate([end.omega_ext.ravel(), end.g_ext])

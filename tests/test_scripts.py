@@ -77,13 +77,15 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
 
 
 STUB_RUN = '''\
-import json, sys
+import json, os, sys
 from pathlib import Path
 here = Path(__file__).resolve().parents[1]
 log = here.parent / "order.log"
 calls = len(log.read_text().split()) if log.exists() else 0  # runs before this one
 with open(log, "a") as fh:
     fh.write(here.name + "\\n")
+with open(here.parent / "bytecode.log", "a") as fh:
+    fh.write(os.environ.get("PYTHONDONTWRITEBYTECODE", "unset") + "\\n")
 print("# paramest benchmark: stub")
 print("  passes: %(passes)d")
 print('  item_s.tail_percentile: "%(tail)s"')
@@ -115,11 +117,12 @@ def stub_checkouts(tmp_path, parent_commit):
 
 
 def run_bench_pairs(tmp_path, out, pairs, *args, parent="parent"):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     return subprocess.run(
         [sys.executable, str(tmp_path / "change" / "scripts" / "bench_pairs.py"),
          str(tmp_path / parent), "--workload", "reproduce", "--seed", "7",
          "--pairs", str(pairs), "--out", str(out), *args],
-        capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_bench_pairs_alternates_and_merges(tmp_path):
@@ -188,3 +191,23 @@ def test_bench_pairs_refuses_checkouts_at_paths_of_unequal_length(tmp_path):
     assert proc.returncode == 1
     assert str(tmp_path / "par") in proc.stderr and str(tmp_path / "change") in proc.stderr
     assert not (tmp_path / "order.log").exists() and not (tmp_path / "bench.json").exists()
+
+
+def test_bench_pairs_refuses_bytecode_caches_and_runs_without_them(tmp_path):
+    stub_checkouts(tmp_path, "abc")
+    caches = [tmp_path / "parent" / "src" / "paramest" / "__pycache__",
+              tmp_path / "change" / "bench" / "__pycache__"]
+    for cache in caches:
+        cache.mkdir(parents=True)
+    proc = run_bench_pairs(tmp_path, tmp_path / "bench.json", 1)
+    assert proc.returncode == 1
+    assert all(str(cache) in proc.stderr for cache in caches)
+    assert not (tmp_path / "order.log").exists() and not (tmp_path / "bench.json").exists()
+
+    # without the caches both sides run, each told not to write bytecode,
+    # though the script itself was started without that setting
+    for cache in caches:
+        cache.rmdir()
+    proc = run_bench_pairs(tmp_path, tmp_path / "bench.json", 1)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "bytecode.log").read_text().split() == ["1", "1"]

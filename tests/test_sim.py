@@ -133,6 +133,12 @@ def affine_table(at, c):
     return np.concatenate([at, c[:, None]], axis=1)
 
 
+def stages(f):
+    """The four stage tables of an interleaved table f ``[4K, q + 1, q]``,
+    stage s of step k at row 4k + s, in the stage order ``step_maps`` reads."""
+    return [f[s::4] for s in range(4)]
+
+
 def decay_table(y, n_steps):
     """Affine stage table f of dy/dt = -y over n_steps steps, expanded at y."""
     f = np.tile(np.vstack([-np.eye(len(y)), np.zeros(len(y))]), (4 * n_steps, 1, 1))
@@ -142,14 +148,14 @@ def decay_table(y, n_steps):
 
 class TestAffineRk4:
     def test_returns_every_step_from_the_input(self):
-        ys = affine_rk4(np.array([1.0]), step_maps(decay_table(np.array([1.0]), 7), 0.1))
+        ys = affine_rk4(np.array([1.0]), step_maps(stages(decay_table(np.array([1.0]), 7)), 0.1))
         assert ys.shape == (8, 1)
         assert ys[0, 0] == 1.0
 
     def test_matches_repeated_rk4_step(self):
         dt = 0.01
         y = np.array([1.0, -2.0])
-        states = affine_rk4(y, step_maps(decay_table(y, 100), dt))
+        states = affine_rk4(y, step_maps(stages(decay_table(y, 100)), dt))
         for k in range(101):
             assert np.max(np.abs(states[k] - y)) <= 1e-15
             y = rk4_step(lambda t, v: -v, k * dt, y, dt)
@@ -161,7 +167,7 @@ class TestAffineRk4:
         # y = [0, 1]
         n_steps = 512
         f = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, -1.0]], (4 * n_steps, 1, 1))
-        ys = affine_rk4(np.array([0.0, 1.0]), step_maps(f, 1e-3))
+        ys = affine_rk4(np.array([0.0, 1.0]), step_maps(stages(f), 1e-3))
         assert ys.shape == (n_steps + 1, 2) and np.all(np.isfinite(ys))
         assert np.all(ys[:, 0] == 0.0)
         assert ys[-1, 1] == pytest.approx(math.exp(-n_steps * 1e-3), rel=1e-12)
@@ -182,18 +188,18 @@ class TestAffineRk4:
         if at_rest:
             y = o
             rest = rng.integers(0, n_steps + 1)
-            m = step_maps(f[:4 * rest], dt)[:, q]
+            m = step_maps(stages(f[:4 * rest]), dt)[:, q]
             scale = 0.4 * np.min(np.spacing(np.abs(y))) / np.max(np.abs(m), axis=1)
             f[:4 * rest, q] *= np.repeat(scale, 4)[:, None]
         else:
             y = o + rng.normal(size=q)
             f[:, q] += (y - o) @ f[:, :q]
-        d = step_maps(f, dt)
+        d = step_maps(stages(f), dt)
         ref = [y]
         for d_k in d:
             ref.append(ref[-1] + (d_k[q] + (ref[-1] - y) @ d_k[:q]))
         ref = np.array(ref)
-        ys = affine_rk4(y, step_maps(f, dt))
+        ys = affine_rk4(y, step_maps(stages(f), dt))
         rests = np.all(ref == y, axis=1)
         assert np.all(ys[rests] == y)
         if not rests.all():
@@ -208,7 +214,7 @@ class TestAffineRk4:
         rng = np.random.default_rng(seed)
         c, at = rng.normal(size=(4, q)), rng.normal(size=(4, q, q))
         origin, y = rng.normal(size=q), rng.normal(size=q)
-        d = step_maps(affine_table(at, c), dt)
+        d = step_maps(stages(affine_table(at, c)), dt)
         stage = iter(range(4))
 
         def rhs(t, v):  # stages are called in order, stage s at call s
@@ -249,12 +255,12 @@ class TestConfigAxis:
         overflowing = np.tile([[-4e7, 0.0], [0.0, -1.0], [0.0, -1.0]], (4 * n_steps, 1, 1))
         tables = [stable_table(rng, 2, n_steps), overflowing, stable_table(rng, 2, n_steps)]
         y = np.array([[0.5, -1.0], [0.0, 1.0], [2.0, 0.3]])
-        d = np.stack([step_maps(f, dt) for f in tables])
+        d = np.stack([step_maps(stages(f), dt) for f in tables])
         ys = affine_rk4(y, d.copy())
         assert ys.shape == (3, n_steps + 1, 2) and np.all(np.isfinite(ys))
         assert np.all(ys[1, :, 0] == 0.0)
         for j, f in enumerate(tables):
-            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(f, dt)))
+            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(stages(f), dt)))
         stepped = np.empty_like(ys)
         stepped[:, 0] = y
         for j in range(3):
@@ -275,14 +281,14 @@ class TestConfigAxis:
         rng = np.random.default_rng(5)
         tables = [stable_table(rng, 3, n_steps) for _ in range(3)]
         y = rng.uniform(1.0, 4.0, size=(3, 3))
-        m = step_maps(tables[1][:4 * rest], dt)[:, 3]
+        m = step_maps(stages(tables[1][:4 * rest]), dt)[:, 3]
         scale = 0.4 * np.min(np.spacing(y[1])) / np.max(np.abs(m), axis=1)
         tables[1][:4 * rest, 3] *= np.repeat(scale, 4)[:, None]
-        ys = affine_rk4(y, np.stack([step_maps(f, dt) for f in tables]))
+        ys = affine_rk4(y, np.stack([step_maps(stages(f), dt) for f in tables]))
         assert np.all(ys[1, :rest + 1] == y[1]) and np.any(ys[1, rest + 1] != y[1])
         assert np.all(np.any(ys[[0, 2], 1] != y[[0, 2]], axis=1))
         for j, f in enumerate(tables):
-            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(f, dt)))
+            assert np.array_equal(ys[j], affine_rk4(y[j], step_maps(stages(f), dt)))
 
     def test_gain_sweep_matches_each_simulate_call(self):
         # 24 seeded configs cycling the five variants, two filter_init
@@ -406,6 +412,49 @@ class TestWalkEnd:
         with pytest.raises(DivergenceError, match="t=0.001 ") as joint:
             simulate_all(self.PROBLEM, configs, self.SETTINGS)
         assert joint.value.config_index == 0 and samples == [0.0]
+
+
+class TestDistinctStagePoints:
+    """Each chunk runs a law once per distinct stage input: the 2m + 1
+    half-step points of (w, g), the 4m filter stages of (Omega, G)."""
+
+    PROBLEM = EstimationProblem(regressor_from_strings(["1", "cos(t)"]), np.array([1.0, 2.0]))
+    SETTINGS = SimSettings(t_end=(2 * CHUNK_STEPS + 10) * 1e-3)
+
+    def test_laws_run_on_the_distinct_points_of_each_chunk(self, monkeypatch):
+        points = {variant: [] for variant in Variant}
+        for variant, law in estimators.LAWS.items():
+            def counted(theta_hat, a, *args, variant=variant, law=law):
+                points[variant].append(len(a))
+                return law(theta_hat, a, *args)
+
+            monkeypatch.setitem(estimators.LAWS, variant, counted)
+        configs = [EstimatorConfig(variant=v, tau=1.0, mu=0.5, filter_init=0.1) for v in Variant]
+        simulate_all(self.PROBLEM, configs, self.SETTINGS)
+        sizes = [stop - start for start, stop in self.SETTINGS.chunks]
+        assert sizes == [CHUNK_STEPS, CHUNK_STEPS, 10]
+        for variant in Variant:
+            unfiltered = variant in (Variant.GE, Variant.MGE)
+            assert points[variant] == [2 * m + 1 if unfiltered else 4 * m for m in sizes]
+
+    def test_unfiltered_table_is_the_half_step_grid(self):
+        walk = stage_tables(self.PROBLEM, {None: None}, self.SETTINGS)
+        for (start, stop), tables in zip(self.SETTINGS.chunks, walk):
+            a, b_points, _ = tables[None]
+            w = self.PROBLEM.regressor.sample(self.SETTINGS.half_step_times(start, stop))
+            assert a.shape == (2 * (stop - start) + 1, 1, 2)
+            assert np.array_equal(a[:, 0], w)
+            assert np.array_equal(b_points[:, 2], w @ self.PROBLEM.true_params)
+            assert not b_points[:, :2].any()
+
+    @pytest.mark.parametrize("n_steps", [1, 13, CHUNK_STEPS])
+    def test_step_maps_over_half_grid_views_is_over_gathered_tables(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        f = rng.normal(size=(2 * n_steps + 1, 4, 3))
+        views = (f[:-1:2], f[1::2], f[1::2], f[2::2])
+        gathered = [f[2 * np.arange(n_steps) + offset] for offset in (0, 1, 1, 2)]
+        assert all(g.flags.c_contiguous for g in gathered)
+        assert np.array_equal(step_maps(views, 1e-2), step_maps(gathered, 1e-2))
 
 
 class TestSimulate:
