@@ -53,6 +53,24 @@ def mixed(t_end):
                                   settings=base.settings)
 
 
+def off_builtin(t_end):
+    """The line-ups 'q1' (GE, MRE, DREM) and 'q5' (every variant) on the
+    regressor of sin((k + 1.5) t) components, k = 0 .. q - 1, over 5 s unless
+    t_end is given: the dimensions on either side of the builtins' 2 and 3."""
+    from paramest import harness
+    from paramest.signals import regressor_from_strings
+    from paramest.sim import SimSettings
+    from paramest.types import EstimationProblem, EstimatorConfig, Variant
+
+    lineups = {"q1": (1, [Variant.GE, Variant.MRE, Variant.DREM]), "q5": (5, list(Variant))}
+    return [harness.ScenarioConfig(
+        name=name,
+        problem=EstimationProblem(regressor_from_strings(
+            [f"sin({k + 1.5:g}*t)" for k in range(q)]), np.arange(1.0, q + 1.0)),
+        estimators=[EstimatorConfig(variant=variant, tau=5.0, mu=0.5) for variant in variants],
+        settings=SimSettings(t_end=t_end or 5.0)) for name, (q, variants) in lineups.items()]
+
+
 def failing():
     """The failing line-ups, by name: (problem, configs, settings), at fixed
     horizons. On ["1", "cos(t)"] a converging MRE goes first, then two of
@@ -100,7 +118,7 @@ def dump(path: str, t_end) -> None:
 
     arrays = {}
     configs = [harness.scenario_from_name(name, t_end=t_end) for name in BUILTIN_NAMES]
-    for config in configs + [mixed(t_end)]:
+    for config in configs + [mixed(t_end)] + off_builtin(t_end):
         name = config.name
         result = harness.run_scenario(config)
         for run in result.runs:
@@ -109,7 +127,7 @@ def dump(path: str, t_end) -> None:
                       traj.manifold_residuals, traj.storage_values)
             for field, value in zip(TABLES["run"], values):
                 arrays[f"run/{name}/{run.label}/{field}"] = value
-        if name not in BUILTIN_NAMES:  # mixed: its regressor's table is example6's
+        if name not in BUILTIN_NAMES:  # the line-ups: only the builtins' tables are kept
             continue
         columns = np.array(result.excitation, dtype=float).reshape(-1, 2).T
         for field, value in zip(TABLES["excitation"], columns):

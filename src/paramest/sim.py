@@ -45,11 +45,12 @@ started at the truth, the unfiltered estimates never move.
 The affine tables are sized for small q, as in the builtins (q <= 3): the
 law's table holds q^2 + q entries per stage input and d as many per step (at
 q = 3, 197 kB per chunk and config for the filtered variants, 98 kB for
-GE/MGE, 49 kB of d; one table and one slice's d are alive at a time), and
-the map build costs O(q^3) per step. On a sin((k + 1.5) t) regressor at
-q = 16 over t_end = 5 a GE run peaks at 8.2 MB (tracemalloc), and DREM takes
-1.1 s (2 cores, numpy 2.4.6), most of it in the SVD adjugate of its one law
-call per chunk.
+GE/MGE, 49 kB of d; one table and one slice's d are alive at a time, beside
+each filter key's 147 kB of contiguous Omega stages and 197 kB of G at the
+points), and the map build costs O(q^3) per step. On a sin((k + 1.5) t)
+regressor at q = 16 over t_end = 5 a GE run peaks at 8.2 MB (tracemalloc),
+and DREM takes 1.1 s (2 cores, numpy 2.4.6), most of it in the SVD adjugate
+of its one law call per chunk.
 
 Divergence is checked once per chunk on the states ``affine_rk4`` returns:
 the first step with a non-finite estimate entry or an estimate norm above
@@ -128,15 +129,17 @@ class SimSettings:
         return int(round(self.t_end / self.dt))
 
     @property
-    def record_steps(self) -> list[int]:
+    def record_steps(self) -> np.ndarray:
         """Step indices to record: every record_every-th from 0, plus the last."""
-        return list(range(0, self.n_steps, self.record_every)) + [self.n_steps]
+        steps = np.arange(0, self.n_steps + self.record_every, self.record_every)
+        steps[-1] = self.n_steps  # the first multiple of record_every from n_steps on
+        return steps
 
     @cached_property
     def record_times(self) -> np.ndarray:
         """Times of ``record_steps``: one read-only array, shared by every
         trajectory ``simulate_all`` records under these settings."""
-        times = np.array(self.record_steps) * self.dt
+        times = self.record_steps * self.dt
         times.setflags(write=False)
         return times
 
@@ -303,11 +306,11 @@ def stage_tables(problem: EstimationProblem, states: dict, settings: SimSettings
     order. A key whose state is None reads (w, g) at the 2m + 1 points of the
     half-step grid: stage 0 of step start+j reads point 2j, stages 1 and 2
     point 2j + 1 and stage 3 point 2j + 2. A filter state reads the filter run
-    from it by ``filters.filter_scan``, stage-major (a ``[4m, q, q]``,
-    b ``[4m, q]``, stage s in rows sm to (s + 1)m), and is replaced by the
-    state after the chunk. A key deleted from ``states`` between chunks is no
-    longer built, and once ``states`` is empty the walk ends without sampling
-    the next chunk."""
+    from it by ``filters.filter_scan``, stage-major (a ``[4m, q, q]``, copied
+    C-contiguous so that a law folds it as a view, b ``[4m, q]``, stage s in
+    rows sm to (s + 1)m), and is replaced by the state after the chunk. A key
+    deleted from ``states`` between chunks is no longer built, and once
+    ``states`` is empty the walk ends without sampling the next chunk."""
     q = problem.dimension
     half_steps = (slice(0, -1, 2), slice(1, None, 2), slice(1, None, 2), slice(2, None, 2))
     for start, stop in settings.chunks:
@@ -321,7 +324,7 @@ def stage_tables(problem: EstimationProblem, states: dict, settings: SimSettings
                 a, b, stages = w, g, half_steps
             else:
                 a, b, states[key] = filter_scan(state, w, g, settings.dt)
-                a, b = a.reshape(-1, q, q), b.reshape(-1, q)
+                a, b = np.ascontiguousarray(a).reshape(-1, q, q), b.reshape(-1, q)
                 m = stop - start
                 stages = tuple(slice(s * m, (s + 1) * m) for s in range(4))
             b_points = np.zeros((len(b), q + 1) + b.shape[1:])
@@ -372,7 +375,7 @@ def simulate_all(problem: EstimationProblem, configs: list[EstimatorConfig],
     """
     q = problem.dimension
     dt = settings.dt
-    ks = np.array(settings.record_steps)
+    ks = settings.record_steps
     n, error = len(configs), None  # configs[:n] run; error ended the run of configs[n]
     keys, scales = [], []  # per config: table key, its estimates' divisor in the bound check
     thetas = np.empty((n, q))  # per config: the estimate the next chunk starts from

@@ -266,15 +266,26 @@ class TestLeadingAxes:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @given(q=st.integers(1, 5), seed=SEEDS, tau=gains, mu=st.floats(-1.5, 1.5),
-           batched=st.sampled_from(["all", "a_b", "theta"]))
+           batched=st.sampled_from(["all", "a_b", "theta", "points"]))
     def test_law_on_a_stack_is_the_loop(self, variant, q, seed, tau, mu, batched):
-        """batched names the stacked inputs: all three, only (a, b) or only theta."""
+        """batched names the stacked inputs: all three, only (a, b), only theta,
+        or "points", as simulate_all calls the laws: theta the q + 1 points
+        [e_1 ... e_q, theta_s], a stacked ``[*lead, 1, ...]`` and b given at
+        every point, so that the law folds a's stack against each point."""
         if variant is Variant.MGE_MRE and q < 2:
             q = 2
         rng = np.random.default_rng(seed)
         law = LAWS[variant]
         for lead in LEADS:
             a, b = _law_inputs(variant, rng, lead if batched != "theta" else (), q)
+            if batched == "points":
+                theta = np.vstack([np.eye(q), _draw(rng, (q,))])
+                b = _law_inputs(variant, rng, lead + (q + 1,), q)[1]
+                stacked = law(theta, np.expand_dims(a, len(lead)), b, tau, mu)
+                assert stacked.shape == lead + (q + 1, q)
+                self.assert_stack_is_loop(stacked, lead + (q + 1,), lambda idx: law(
+                    theta[idx[-1]], a[idx[:-1]], b[idx], tau, mu))
+                continue
             theta = _draw(rng, (lead if batched != "a_b" else ()) + (q,))
             stacked = law(theta, a, b, tau, mu)
             assert stacked.shape == lead + (q,)

@@ -32,10 +32,10 @@ def test_run_all_scenarios_writes_csv_and_svg(tmp_path):
 def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     proc = run_script("compare_runs.py", ROOT / "src", "--t-end", "0.2")
     assert proc.returncode == 0, proc.stderr
-    assert ("22 runs, 6 excitation tables, 6 failing line-ups, largest run gap 0, "
+    assert ("30 runs, 6 excitation tables, 6 failing line-ups, largest run gap 0, "
             "largest excitation gap 0, 0 differing errors, largest allowed gap 0: ok"
             ) in proc.stdout
-    errors = [line.split() for line in proc.stdout.splitlines()[31:37]]
+    errors = [line.split() for line in proc.stdout.splitlines()[39:45]]
     assert [row[1:] for row in errors] == [
         ["ConfigurationError", "1", "same"], ["DivergenceError", "1", "same"],
         ["DivergenceError", "1", "same"], ["DivergenceError", "1", "same"],
@@ -55,16 +55,18 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["run", "t", "theta_hat", "err_norm", "residual", "storage"]
-    assert lines[23].split() == ["excitation", "t", "rho"]
-    runs = {line.split()[0]: line.split()[1:] for line in lines[1:23]}
-    assert len(runs) == 22 and sum(name.startswith("mixed/") for name in runs) == 10
+    assert lines[31].split() == ["excitation", "t", "rho"]
+    runs = {line.split()[0]: line.split()[1:] for line in lines[1:31]}
+    assert len(runs) == 30 and sum(name.startswith("mixed/") for name in runs) == 10
+    assert [name for name in runs if name.startswith("q")] == [
+        "q1/DREM", "q1/GE", "q1/MRE", "q5/DREM", "q5/GE", "q5/MGE", "q5/MGE_MRE", "q5/MRE"]
     assert [name for name, gaps in runs.items() if float(gaps[1]) > 0] == ["example1/MGE"]
     # the gain does not touch the regressor: every excitation table matches
-    tables = {line.split()[0]: line.split()[1:] for line in lines[24:30]}
+    tables = {line.split()[0]: line.split()[1:] for line in lines[32:38]}
     assert sorted(tables) == [f"example{i}" for i in range(1, 7)]
     assert all(float(gap) == 0 for gaps in tables.values() for gap in gaps)
-    assert lines[30].split() == ["error", "type", "index", "sides"]
-    errors = {line.split()[0]: line.split()[-1] for line in lines[31:-1]
+    assert lines[38].split() == ["error", "type", "index", "sides"]
+    errors = {line.split()[0]: line.split()[-1] for line in lines[39:-1]
               if not line.startswith(" ")}
     assert [name for name, sides in errors.items() if sides == "DIFFER"] == [
         "early-late", "late-bad_theta", "late-early"]

@@ -75,9 +75,11 @@ class TestSettings:
         settings = SimSettings(t_end=0.1, dt=1e-3, record_every=7)
         assert settings.n_steps == 100
         assert SimSettings(t_end=MAX_STEPS * 1e-3).n_steps == MAX_STEPS
-        assert settings.record_steps == list(range(0, 99, 7)) + [100]
-        assert SimSettings(t_end=0.1, dt=1e-3, record_every=10).record_steps[-2:] == [90, 100]
-        assert SimSettings(t_end=1.0, dt=0.4).record_steps == [0, 2]  # 2.5 rounds to 2
+        assert np.array_equal(settings.record_steps, list(range(0, 99, 7)) + [100])
+        assert np.array_equal(SimSettings(t_end=0.1, dt=1e-3, record_every=10).record_steps[-2:],
+                              [90, 100])
+        assert np.array_equal(SimSettings(t_end=1.0, dt=0.4).record_steps,
+                              [0, 2])  # 2.5 rounds to 2
         assert np.array_equal(SimSettings(t_end=1.0, dt=0.5).half_step_times(),
                               [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.array_equal(SimSettings(t_end=1.0, dt=0.25).half_step_times(1, 3),
