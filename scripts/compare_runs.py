@@ -18,7 +18,9 @@ the same type, message and index (the messages of both sides follow a line
 that differs). A summary line closes with the largest gap in each table and
 the number of differing errors. It exits 1 when any gap exceeds --atol
 (default 0: bit-identical; NaN matches NaN), when any error differs, or when
-the two sides do not record the same runs, tables and shapes.
+the two sides do not record the same runs, tables and shapes. A zero on one
+side and a zero of the other sign on the other is an infinite gap, since the
+CSV export writes them as "-0" and "0".
 
 Usage: python scripts/compare_runs.py OTHER_SRC [--atol A] [--t-end T]
 """
@@ -153,7 +155,9 @@ def max_gap(a: np.ndarray, b: np.ndarray) -> float:
     both_nan = np.isnan(a) & np.isnan(b)
     with np.errstate(invalid="ignore"):
         gap = np.where(both_nan, 0.0, np.abs(a - b))
-    return float(np.nan_to_num(gap, nan=np.inf).max(initial=0.0))
+    # -0.0 and 0.0 are equal but export as "-0" and "0": a sign flip is a gap
+    gap[np.isnan(gap) | (a == b) & (np.signbit(a) != np.signbit(b))] = np.inf
+    return float(gap.max(initial=0.0))
 
 
 def main() -> int:

@@ -58,37 +58,24 @@ def mge_gain(omega: np.ndarray, tau: float, mu: float) -> np.ndarray:
 # Contractions are matmuls over a trailing unit axis: for one state they round
 # exactly as w @ theta_hat and Omega @ theta_hat (np.sum and einsum do not).
 # numpy sends a matrix times a vector to BLAS gemv, which rounds each row of
-# its matrix alone, so stacking matrices into one taller matrix changes no
-# entry; _matvec folds that way. One 1 x q row times a vector goes to dot, a
-# different routine that need not round as gemv does, so _prediction_error
-# is not folded.
+# its matrix alone, so one taller matrix of stacked matrices changes no entry:
+# when Omega has one leading axis more than theta_hat, _residual transposes it
+# next to the rows (np.moveaxis leaves garbage that raises the memory peak),
+# and each point meets the whole stack in one gemv call, not one per matrix.
+# One 1 x q row times a vector goes to dot, which need not round as gemv does,
+# so _prediction_error is not folded.
 # [()] leaves one state's error a numpy scalar, much cheaper than a 0-d array.
 def _prediction_error(theta_hat, w, g):  # g - w^T theta_hat: [...]
     return g - (w[..., None, :] @ theta_hat[..., None])[..., 0, 0][()]
 
 
-def _matvec(m, v):
-    """m @ v over leading axes that broadcast: m ``[..., r, n]``, v ``[..., n]``
-    -> ``[..., r]``. The leading axes of m along which v is broadcast fold into
-    the rows of one tall matrix, so each distinct vector of v meets it in one
-    gemv call, not one call per matrix. With nothing to fold it is the plain
-    broadcast matmul."""
-    nd = max(m.ndim - 2, v.ndim - 1)
-    m = m.reshape((1,) * (nd + 2 - m.ndim) + m.shape)
-    v = v.reshape((1,) * (nd + 1 - v.ndim) + v.shape)
-    fold = [i for i in range(nd) if v.shape[i] == 1 < m.shape[i]]
-    if not fold:
-        return (m @ v[..., None])[..., 0]
-    order = [i for i in range(nd) if i not in fold] + fold + [nd]
-    tall = m.transpose(order + [nd + 1])  # the fold axes next to the rows
-    tall = tall.reshape(tall.shape[:nd - len(fold)] + (-1, m.shape[-1]))
-    out = (tall @ v.squeeze(axis=tuple(fold))[..., None])[..., 0]
-    out = out.reshape(out.shape[:-1] + tuple(m.shape[i] for i in fold) + m.shape[-2:-1])
-    return out.transpose(np.argsort(order))
-
-
 def _residual(theta_hat, omega_ext, g_ext):  # G - Omega theta_hat: [..., q]
-    return g_ext - _matvec(omega_ext, theta_hat)
+    k, n, q = theta_hat.ndim, omega_ext.shape[0], omega_ext.shape[-1]
+    if omega_ext.ndim != k + 2:
+        return g_ext - (omega_ext @ theta_hat[..., None])[..., 0]
+    tall = omega_ext.transpose(*range(1, k), 0, k, k + 1)  # axis 0 next to the rows
+    out = (tall.reshape(tall.shape[:-3] + (n * q, q)) @ theta_hat[..., None])[..., 0]
+    return g_ext - out.reshape(out.shape[:-1] + (n, q)).transpose(k - 1, *range(k - 1), k)
 
 
 def _ge(theta_hat, w, g, tau, mu):
@@ -111,7 +98,8 @@ def _mge_mre(theta_hat, omega_ext, g_ext, tau, mu):
 
 def _drem(theta_hat, omega_ext, g_ext, tau, mu):
     delta, adj = _det_adjugate(omega_ext)
-    return (tau * delta)[..., None] * (_matvec(adj, g_ext) - delta[..., None] * theta_hat)
+    return (tau * delta)[..., None] * ((adj @ g_ext[..., None])[..., 0]
+                                       - delta[..., None] * theta_hat)
 
 
 LAWS = {Variant.GE: _ge, Variant.MGE: _mge, Variant.MRE: _mre,

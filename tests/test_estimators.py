@@ -281,10 +281,14 @@ class TestLeadingAxes:
             if batched == "points":
                 theta = np.vstack([np.eye(q), _draw(rng, (q,))])
                 b = _law_inputs(variant, rng, lead + (q + 1,), q)[1]
-                stacked = law(theta, np.expand_dims(a, len(lead)), b, tau, mu)
-                assert stacked.shape == lead + (q + 1, q)
-                self.assert_stack_is_loop(stacked, lead + (q + 1,), lambda idx: law(
-                    theta[idx[-1]], a[idx[:-1]], b[idx], tau, mu))
+                # a reversed stack folds from a copy, and a theta with a unit
+                # axis for each stack axis but the first folds at every lead
+                padded = theta.reshape((1,) * (len(lead) - 1) + theta.shape)
+                for a, th in [(a, theta), (a[::-1], theta), (a, padded)]:
+                    stacked = law(th, np.expand_dims(a, len(lead)), b, tau, mu)
+                    assert stacked.shape == lead + (q + 1, q)
+                    self.assert_stack_is_loop(stacked, lead + (q + 1,), lambda idx: law(
+                        theta[idx[-1]], a[idx[:-1]], b[idx], tau, mu))
                 continue
             theta = _draw(rng, (lead if batched != "a_b" else ()) + (q,))
             stacked = law(theta, a, b, tau, mu)

@@ -6,22 +6,19 @@ import pytest
 from paramest.catalog import BUILTIN_NAMES, builtin
 from paramest.errors import ConfigurationError
 from paramest.filters import FilterState, filter_rhs
+from paramest.signals import regressor_from_strings
 from paramest.sim import CHUNK_STEPS, SimSettings, rk4_step, stage_tables
 from paramest.types import EstimationProblem
 
 
-def integrate_filter(omega_of_t, g_of_t, q, t_end, dt=1e-3, init=0.0):
-    """Drive the filter ODE with rk4_step on the flattened state."""
-    def rhs(t, y):
-        state = FilterState(y[:q * q].reshape(q, q), y[q * q:])
-        d = filter_rhs(state, omega_of_t(t), g_of_t(t))
-        return np.concatenate([d.omega_ext.ravel(), d.g_ext])
-
-    y = np.full(q * q + q, float(init))
-    n = int(round(t_end / dt))
-    for k in range(n):
-        y = rk4_step(rhs, k * dt, y, dt)
-    return FilterState(y[:q * q].reshape(q, q), y[q * q:])
+def end_state(spec, theta, t_end, dt=1e-3):
+    """The filter state at t_end of the run from zero over ``spec`` with
+    g = w^T theta, read from the ``stage_tables`` walk that simulate_all runs."""
+    states = {"filter": FilterState.uniform(spec.dimension)}
+    problem = EstimationProblem(spec, np.asarray(theta, dtype=float))
+    for _ in stage_tables(problem, states, SimSettings(t_end=t_end, dt=dt)):
+        pass
+    return states["filter"]
 
 
 class TestRhs:
@@ -49,23 +46,22 @@ class TestTrajectories:
     def test_constant_regressor_matches_closed_form(self):
         # dx/dt = -x + c from 0 has x(t) = (1 - e^-t) c, applied entrywise
         w = np.array([1.0, 0.5])
-        state = integrate_filter(lambda t: w, lambda t: 0.0, 2, t_end=1.0)
+        state = end_state(regressor_from_strings(["1", "0.5"]), [0.0, 0.0], t_end=1.0)
         target = (1.0 - math.exp(-1.0)) * np.outer(w, w)
         assert np.max(np.abs(state.omega_ext - target)) < 1e-8
 
     def test_steady_state_is_source(self):
+        # g = w^T theta = 0.8 * 1.5625 = 1.25 exactly
         w = np.array([0.8, -0.3])
         g = 1.25
-        state = integrate_filter(lambda t: w, lambda t: g, 2, t_end=40.0)
+        state = end_state(regressor_from_strings(["0.8", "-0.3"]), [1.5625, 0.0], t_end=40.0)
         assert np.max(np.abs(state.omega_ext - np.outer(w, w))) < 1e-8
         assert np.max(np.abs(state.g_ext - w * g)) < 1e-8
 
     def test_extended_pair_consistent_with_truth(self):
         # G - Omega theta filters the residual of g = w^T theta, which is zero
         spec, theta, _, _ = builtin("example1")
-        state = integrate_filter(spec.evaluate,
-                                 lambda t: float(spec.evaluate(t) @ theta),
-                                 2, t_end=10.0)
+        state = end_state(spec, theta, t_end=10.0)
         gap = np.linalg.norm(state.g_ext - state.omega_ext @ theta)
         assert gap < 1e-6
 
@@ -74,9 +70,7 @@ class TestTrajectories:
         thetas = rng.uniform(-2.0, 2.0, size=(2, 2))
 
         def run(theta):
-            return integrate_filter(
-                spec.evaluate, lambda t: float(spec.evaluate(t) @ theta),
-                2, t_end=2.0).g_ext
+            return end_state(spec, theta, t_end=2.0).g_ext
 
         g_a = run(thetas[0])
         g_b = run(thetas[1])
@@ -86,10 +80,7 @@ class TestTrajectories:
     def test_psd_from_zero_init_along_scenarios(self):
         for name in ("example1", "example5"):
             spec, theta, _, _ = builtin(name)
-            q = spec.dimension
-            state = integrate_filter(spec.evaluate,
-                                     lambda t: float(spec.evaluate(t) @ theta),
-                                     q, t_end=8.0, dt=2e-3)
+            state = end_state(spec, theta, t_end=8.0, dt=2e-3)
             asym = np.max(np.abs(state.omega_ext - state.omega_ext.T))
             assert asym <= 1e-12 * max(1.0, np.max(np.abs(state.omega_ext)))
             assert np.linalg.eigvalsh(state.omega_ext)[0] >= -1e-9
@@ -124,6 +115,8 @@ class TestScan:
         states = {"filter": FilterState.uniform(q, init)}
         chunks = [tables["filter"] for tables in stage_tables(
             EstimationProblem(spec, theta), states, SimSettings(t_end=n_steps * dt, dt=dt))]
+        # estimators._residual folds a's stage axis into its rows as a view
+        assert all(a.flags.c_contiguous for a, _, _ in chunks)
         # the walk's point tables hold the stages in a, and b at the last
         # point, stage s of the chunk's steps at the rows of its slice
         omega_ext = np.concatenate([np.stack([a[s, 0] for s in stages], axis=1)

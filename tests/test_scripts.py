@@ -77,6 +77,23 @@ def test_compare_runs_against_itself_and_a_changed_copy(tmp_path):
     assert summary[4:] == ["largest excitation gap 0", "3 differing errors",
                            "largest allowed gap 0: FAIL"]
 
+    # a copy whose only change is a -0.0 first recorded time: the values are
+    # equal, but the CSV export writes "-0" for "0", so every run's t differs
+    signed = tmp_path / "signed" / "paramest"
+    shutil.copytree(ROOT / "src" / "paramest", signed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sim = signed / "sim.py"
+    sim.write_text(sim.read_text().replace(
+        "        times.setflags(write=False)",
+        "        times[0] = -0.0\n        times.setflags(write=False)"))
+    proc = run_script("compare_runs.py", signed.parent, "--t-end", "0.2")
+    assert proc.returncode == 1, proc.stderr
+    runs = [line.split() for line in proc.stdout.splitlines()[1:31]]
+    assert all(gaps[1] == "inf" and gaps[2:] == ["0"] * 4 for gaps in runs)
+    assert proc.stdout.splitlines()[-1].endswith(
+        "largest run gap inf, largest excitation gap 0, 0 differing errors, "
+        "largest allowed gap 0: FAIL")
+
 
 STUB_RUN = '''\
 import json, os, sys
